@@ -6,9 +6,11 @@
 
 #![forbid(unsafe_code)]
 
-use mojave_core::{Process, ProcessConfig};
+use mojave_cluster::{Cluster, ClusterConfig, ClusterExternals, ClusterSink};
+use mojave_core::{BackendKind, Machine, Process, ProcessConfig, ProcessStats, RunOutcome};
 use mojave_grid::GridConfig;
 use mojave_heap::{Heap, PtrIdx, Word};
+use std::thread;
 
 /// Populate a heap with array blocks until it holds roughly `target_bytes`
 /// of live data; returns the pointers (the mutator's roots).
@@ -64,6 +66,57 @@ pub fn process_with_heap(heap_bytes: usize, binary_migration: bool) -> (Process,
     (process, roots)
 }
 
+/// Run every worker of the grid `config` in process on `backend`: a
+/// fault-free deterministic cluster seeded with `seed`, synchronous delta
+/// checkpoints, one thread per worker.  Checks each worker's checksum
+/// against the sequential reference and returns each worker's execution
+/// statistics.
+///
+/// # Panics
+/// Panics if a worker fails or computes a wrong checksum.
+pub fn run_grid_workers(config: &GridConfig, backend: BackendKind, seed: u64) -> Vec<ProcessStats> {
+    let program = mojave_lang::compile_source(&mojave_grid::worker_source(config))
+        .expect("grid worker compiles");
+    let reference = mojave_grid::reference_checksums(config);
+    let cluster = Cluster::new(ClusterConfig::deterministic(config.workers, seed));
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..config.workers)
+            .map(|worker| {
+                let cluster = cluster.clone();
+                let program = program.clone();
+                let want = reference[worker];
+                scope.spawn(move || {
+                    let process_config = ProcessConfig {
+                        backend,
+                        machine: Machine::new(cluster.arch(worker)),
+                        delta_checkpoints: true,
+                        ..ProcessConfig::default()
+                    };
+                    let mut process = Process::new(program, process_config)
+                        .expect("grid worker verifies")
+                        .with_externals(Box::new(ClusterExternals::new(cluster.clone(), worker)))
+                        .with_sink(Box::new(ClusterSink::new(cluster, worker)));
+                    match process.run() {
+                        Ok(RunOutcome::Exit(code)) => {
+                            let got = code as f64 / 100.0;
+                            assert!(
+                                (got - want).abs() < 0.05,
+                                "worker {worker}: checksum {got}, reference {want}"
+                            );
+                        }
+                        other => panic!("worker {worker} ended with {other:?}"),
+                    }
+                    process.stats()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread"))
+            .collect()
+    })
+}
+
 /// A MojaveC source whose compiled size scales with `n` (used to measure the
 /// recompilation cost as a function of program size).
 pub fn synthetic_source(n: usize) -> String {
@@ -97,6 +150,21 @@ mod tests {
         mutate_percent(&mut heap, &ptrs, 50);
         let expected = ptrs.len() * 50 / 100;
         assert_eq!(heap.stats().cow_clones as usize, expected);
+    }
+
+    #[test]
+    fn default_grid_worker_step_counts_are_pinned() {
+        // Exact instructions executed by each worker of the default grid.
+        // Execution changes must leave these alone: `ProcessStats::steps`
+        // is what the benchmark divides execution time by.
+        let steps = |backend| -> Vec<u64> {
+            run_grid_workers(&GridConfig::default(), backend, 7)
+                .iter()
+                .map(|s| s.steps)
+                .collect()
+        };
+        assert_eq!(steps(BackendKind::Bytecode), vec![389113, 431733, 387993]);
+        assert_eq!(steps(BackendKind::Interp), vec![243791, 270091, 242931]);
     }
 
     #[test]

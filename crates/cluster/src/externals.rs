@@ -3,7 +3,7 @@
 
 use crate::cluster::{Cluster, RecvOutcome};
 use mojave_core::{DefaultExternals, ExtCall, Externals, RuntimeError, MSG_OK, MSG_ROLL};
-use mojave_heap::{Heap, Word};
+use mojave_heap::{Heap, PtrIdx, Word};
 
 /// Externals for a process running on a cluster node.
 ///
@@ -54,26 +54,46 @@ impl ClusterExternals {
             message: format!("node {} has failed", self.node),
         }
     }
+}
 
-    fn arg_int(call: &ExtCall<'_>, i: usize) -> Result<i64, RuntimeError> {
-        call.args
-            .get(i)
-            .and_then(|w| w.as_int())
-            .ok_or_else(|| RuntimeError::ExternError {
-                name: call.name.to_owned(),
-                message: format!("argument {i} must be an int"),
-            })
-    }
+/// Argument `i` of an external call as an int.
+pub(crate) fn arg_int(call: &ExtCall<'_>, i: usize) -> Result<i64, RuntimeError> {
+    call.args
+        .get(i)
+        .and_then(|w| w.as_int())
+        .ok_or_else(|| RuntimeError::ExternError {
+            name: call.name.to_owned(),
+            message: format!("argument {i} must be an int"),
+        })
+}
 
-    fn arg_array(call: &ExtCall<'_>, i: usize) -> Result<mojave_heap::PtrIdx, RuntimeError> {
-        call.args
-            .get(i)
-            .and_then(|w| w.as_ptr())
-            .ok_or_else(|| RuntimeError::ExternError {
-                name: call.name.to_owned(),
-                message: format!("argument {i} must be an array"),
-            })
+/// Argument `i` of an external call as an array pointer.
+pub(crate) fn arg_array(call: &ExtCall<'_>, i: usize) -> Result<PtrIdx, RuntimeError> {
+    call.args
+        .get(i)
+        .and_then(|w| w.as_ptr())
+        .ok_or_else(|| RuntimeError::ExternError {
+            name: call.name.to_owned(),
+            message: format!("argument {i} must be an array"),
+        })
+}
+
+/// The `float[]` payload of a `msg_send`: every element of the array at
+/// `ptr`, which must all be floats.
+pub(crate) fn float_payload(heap: &Heap, ptr: PtrIdx) -> Result<Vec<f64>, RuntimeError> {
+    let len = heap.block_len(ptr)?;
+    let mut data = Vec::with_capacity(len);
+    for i in 0..len {
+        let word = heap.load(ptr, i as i64)?;
+        data.push(word.as_float().ok_or_else(|| RuntimeError::ExternError {
+            name: "msg_send".into(),
+            message: format!(
+                "element {i} of the payload is {}, not float",
+                word.kind_name()
+            ),
+        })?);
     }
+    Ok(data)
 }
 
 impl Externals for ClusterExternals {
@@ -110,14 +130,9 @@ impl Externals for ClusterExternals {
                 Err(self.killed())
             }
             "msg_send" => {
-                let dest = Self::arg_int(&call, 0)?;
-                let tag = Self::arg_int(&call, 1)?;
-                let ptr = Self::arg_array(&call, 2)?;
-                let len = heap.block_len(ptr)?;
-                let mut data = Vec::with_capacity(len);
-                for i in 0..len {
-                    data.push(heap.load(ptr, i as i64)?.as_float().unwrap_or(0.0));
-                }
+                let dest = arg_int(&call, 0)?;
+                let tag = arg_int(&call, 1)?;
+                let data = float_payload(heap, arg_array(&call, 2)?)?;
                 if dest < 0 || dest as usize >= self.cluster.num_nodes() {
                     return Err(RuntimeError::ExternError {
                         name: "msg_send".into(),
@@ -131,9 +146,9 @@ impl Externals for ClusterExternals {
                 Ok(Word::Int(MSG_OK))
             }
             "msg_recv" => {
-                let src = Self::arg_int(&call, 0)?;
-                let tag = Self::arg_int(&call, 1)?;
-                let ptr = Self::arg_array(&call, 2)?;
+                let src = arg_int(&call, 0)?;
+                let tag = arg_int(&call, 1)?;
+                let ptr = arg_array(&call, 2)?;
                 if src < 0 || src as usize >= self.cluster.num_nodes() {
                     return Err(RuntimeError::ExternError {
                         name: "msg_recv".into(),
@@ -251,6 +266,33 @@ mod tests {
             .unwrap();
         assert_eq!(status, Word::Int(MSG_OK));
         assert_eq!(heap1.load(buf, 2).unwrap(), Word::Float(3.5));
+    }
+
+    #[test]
+    fn msg_send_rejects_non_float_elements_by_index() {
+        let cluster = small_cluster();
+        let mut sender = ClusterExternals::new(cluster.clone(), 0);
+        let mut heap = Heap::new();
+        let out = heap.alloc_array(3, Word::Float(1.0)).unwrap();
+        heap.store(out, 2, Word::Int(7)).unwrap();
+        let err = sender
+            .call(
+                ExtCall {
+                    name: "msg_send",
+                    args: &[Word::Int(1), Word::Int(7), Word::Ptr(out)],
+                },
+                &mut heap,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::ExternError {
+                name: "msg_send".into(),
+                message: "element 2 of the payload is int, not float".into(),
+            }
+        );
+        // Nothing was sent.
+        assert_eq!(cluster.messages_sent(), 0);
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //! loss — which deterministic runs never produce.
 
 use crate::cluster::{Cluster, RecvOutcome};
+use crate::externals::{arg_array, arg_int, float_payload};
 use crate::sink::ClusterSink;
 use mojave_core::{
     DefaultExternals, DeliveryOutcome, ExtCall, Externals, MigrationImage, MigrationSink,
@@ -1078,26 +1079,6 @@ impl RemoteExternals {
             message: format!("transport: {e}"),
         }
     }
-
-    fn arg_int(call: &ExtCall<'_>, i: usize) -> Result<i64, RuntimeError> {
-        call.args
-            .get(i)
-            .and_then(|w| w.as_int())
-            .ok_or_else(|| RuntimeError::ExternError {
-                name: call.name.to_owned(),
-                message: format!("argument {i} must be an int"),
-            })
-    }
-
-    fn arg_array(call: &ExtCall<'_>, i: usize) -> Result<mojave_heap::PtrIdx, RuntimeError> {
-        call.args
-            .get(i)
-            .and_then(|w| w.as_ptr())
-            .ok_or_else(|| RuntimeError::ExternError {
-                name: call.name.to_owned(),
-                message: format!("argument {i} must be an array"),
-            })
-    }
 }
 
 impl Externals for RemoteExternals {
@@ -1126,14 +1107,9 @@ impl Externals for RemoteExternals {
                 Err(self.killed())
             }
             "msg_send" => {
-                let dest = Self::arg_int(&call, 0)?;
-                let tag = Self::arg_int(&call, 1)?;
-                let ptr = Self::arg_array(&call, 2)?;
-                let len = heap.block_len(ptr)?;
-                let mut data = Vec::with_capacity(len);
-                for i in 0..len {
-                    data.push(heap.load(ptr, i as i64)?.as_float().unwrap_or(0.0));
-                }
+                let dest = arg_int(&call, 0)?;
+                let tag = arg_int(&call, 1)?;
+                let data = float_payload(heap, arg_array(&call, 2)?)?;
                 if dest < 0 || dest as u32 >= self.num_nodes {
                     return Err(RuntimeError::ExternError {
                         name: "msg_send".into(),
@@ -1146,9 +1122,9 @@ impl Externals for RemoteExternals {
                 Ok(Word::Int(MSG_OK))
             }
             "msg_recv" => {
-                let src = Self::arg_int(&call, 0)?;
-                let tag = Self::arg_int(&call, 1)?;
-                let ptr = Self::arg_array(&call, 2)?;
+                let src = arg_int(&call, 0)?;
+                let tag = arg_int(&call, 1)?;
+                let ptr = arg_array(&call, 2)?;
                 if src < 0 || src as u32 >= self.num_nodes {
                     return Err(RuntimeError::ExternError {
                         name: "msg_recv".into(),
@@ -1330,6 +1306,34 @@ mod tests {
         remote.report_stats(&stats).expect("stats");
         let got = server.next_stats(Duration::from_secs(5)).expect("arrives");
         assert_eq!(got, stats);
+    }
+
+    #[test]
+    fn remote_msg_send_rejects_non_float_elements_by_index() {
+        let (server, addr) = served_cluster(2);
+        let remote = RemoteCluster::connect(&addr, 0, CodecSet::all()).expect("connect");
+        let mut ext = RemoteExternals::new(remote);
+        let mut heap = Heap::new();
+        let out = heap.alloc_array(3, Word::Float(1.0)).unwrap();
+        heap.store(out, 0, Word::Bool(true)).unwrap();
+        let err = ext
+            .call(
+                ExtCall {
+                    name: "msg_send",
+                    args: &[Word::Int(1), Word::Int(7), Word::Ptr(out)],
+                },
+                &mut heap,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::ExternError {
+                name: "msg_send".into(),
+                message: "element 0 of the payload is bool, not float".into(),
+            }
+        );
+        // Nothing reached the hub's mailboxes.
+        assert_eq!(server.cluster().messages_sent(), 0);
     }
 
     #[test]

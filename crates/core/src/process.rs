@@ -171,6 +171,8 @@ impl BaseFingerprint {
 /// Where control goes after a function body finishes executing.
 #[derive(Debug, Clone)]
 enum Transfer {
+    /// A tail call, from the interpreter only: the bytecode VM runs its
+    /// tail calls inside its dispatch loop.
     Call {
         target: Word,
         args: Vec<Word>,
@@ -200,7 +202,14 @@ enum Transfer {
 /// A running Mojave process.
 pub struct Process {
     program: Option<Program>,
-    bytecode: Option<BytecodeProgram>,
+    /// Compiled code, shared with the VM for the length of a run so
+    /// execution never copies a function's instructions.
+    bytecode: Option<Arc<BytecodeProgram>>,
+    /// The bytecode VM's one register file, reused across calls; while a
+    /// function runs it holds exactly that function's frame.
+    vm_regs: Vec<Word>,
+    /// Scratch buffer the VM copies call and external arguments through.
+    vm_args: Vec<Word>,
     heap: Heap,
     spec: SpeculationManager,
     externals: Box<dyn Externals>,
@@ -259,16 +268,19 @@ impl Process {
             typecheck(&program, &extern_env)?;
         }
         let bytecode = match config.backend {
-            BackendKind::Bytecode => Some(
-                compile_program(&program)
-                    .map_err(|e| RuntimeError::MigrationRejected(e.to_string()))?,
-            ),
+            BackendKind::Bytecode => {
+                Some(Arc::new(compile_program(&program).map_err(|e| {
+                    RuntimeError::MigrationRejected(e.to_string())
+                })?))
+            }
             BackendKind::Interp => None,
         };
         let entry = Word::Fun(program.entry.0);
         Ok(Process {
             program: Some(program),
             bytecode,
+            vm_regs: Vec::new(),
+            vm_args: Vec::new(),
             heap: Heap::with_config(config.heap),
             spec: SpeculationManager::new(),
             externals: Box::new(DefaultExternals::default()),
@@ -296,10 +308,11 @@ impl Process {
                 validate(program)?;
                 typecheck(program, &extern_env)?;
                 let bytecode = match config.backend {
-                    BackendKind::Bytecode => Some(
-                        compile_program(program)
-                            .map_err(|e| RuntimeError::MigrationRejected(e.to_string()))?,
-                    ),
+                    BackendKind::Bytecode => {
+                        Some(Arc::new(compile_program(program).map_err(|e| {
+                            RuntimeError::MigrationRejected(e.to_string())
+                        })?))
+                    }
                     BackendKind::Interp => None,
                 };
                 (Some(program.clone()), bytecode)
@@ -319,7 +332,7 @@ impl Process {
                         "the interpreter backend needs FIR, but the image is binary".into(),
                     ));
                 }
-                (None, Some(bytecode.clone()))
+                (None, Some(Arc::new(bytecode.clone())))
             }
         };
         let heap = image.decode_heap(config.heap)?;
@@ -337,6 +350,8 @@ impl Process {
         Ok(Process {
             program,
             bytecode,
+            vm_regs: Vec::new(),
+            vm_args: Vec::new(),
             heap,
             spec: SpeculationManager::new(),
             externals: Box::new(DefaultExternals::default()),
@@ -450,7 +465,7 @@ impl Process {
 
     /// The compiled bytecode, if the bytecode backend is in use.
     pub fn bytecode(&self) -> Option<&BytecodeProgram> {
-        self.bytecode.as_ref()
+        self.bytecode.as_deref()
     }
 
     /// Lines the program printed so far.
@@ -866,7 +881,7 @@ impl Process {
     fn packed_code(&self) -> Result<PackedCode, RuntimeError> {
         if self.config.binary_migration {
             let bytecode = match &self.bytecode {
-                Some(bc) => bc.clone(),
+                Some(bc) => BytecodeProgram::clone(bc),
                 None => {
                     let program = self
                         .program
@@ -980,15 +995,12 @@ impl Process {
         roots
     }
 
-    /// Resolve a callee word into a function index plus the full argument
-    /// list (closures prepend themselves as the environment argument).
-    fn resolve_callee(
-        &self,
-        target: Word,
-        mut args: Vec<Word>,
-    ) -> Result<(u32, Vec<Word>), RuntimeError> {
+    /// Resolve a callee word into a function index plus, for a closure,
+    /// the environment argument the callee receives ahead of the call's own
+    /// arguments.
+    fn resolve_callee(&self, target: Word) -> Result<(u32, Option<Word>), RuntimeError> {
         match target {
-            Word::Fun(id) => Ok((id, args)),
+            Word::Fun(id) => Ok((id, None)),
             Word::Ptr(p) => {
                 let block = self.heap.block(p)?;
                 if block.header.kind != BlockKind::Closure {
@@ -997,49 +1009,23 @@ impl Process {
                         block.header.kind
                     )));
                 }
-                let fun = match block.as_words().and_then(|w| w.first()) {
-                    Some(Word::Fun(id)) => *id,
-                    _ => {
-                        return Err(RuntimeError::NotCallable(format!(
-                            "closure {p} has no function slot"
-                        )))
-                    }
-                };
-                let mut full = Vec::with_capacity(args.len() + 1);
-                full.push(Word::Ptr(p));
-                full.append(&mut args);
-                Ok((fun, full))
+                match block.as_words().and_then(|w| w.first()) {
+                    Some(Word::Fun(id)) => Ok((*id, Some(Word::Ptr(p)))),
+                    _ => Err(RuntimeError::NotCallable(format!(
+                        "closure {p} has no function slot"
+                    ))),
+                }
             }
             other => Err(RuntimeError::NotCallable(other.kind_name().to_owned())),
         }
     }
 
-    fn fun_arity(&self, fun: u32) -> Result<usize, RuntimeError> {
-        if let Some(program) = &self.program {
-            program
-                .fun(FunId(fun))
-                .map(|f| f.params.len())
-                .ok_or(RuntimeError::UnknownFunction(fun))
-        } else if let Some(bc) = &self.bytecode {
-            bc.funs
-                .get(fun as usize)
-                .map(|f| f.nparams as usize)
-                .ok_or(RuntimeError::UnknownFunction(fun))
-        } else {
-            Err(RuntimeError::UnknownFunction(fun))
+    fn arity_mismatch(name: &str, fun: u32, expected: usize, found: usize) -> RuntimeError {
+        RuntimeError::ArityMismatch {
+            callee: format!("{name} (f{fun})"),
+            expected,
+            found,
         }
-    }
-
-    fn check_arity(&self, fun: u32, name: &str, args: &[Word]) -> Result<(), RuntimeError> {
-        let expected = self.fun_arity(fun)?;
-        if expected != args.len() {
-            return Err(RuntimeError::ArityMismatch {
-                callee: format!("{name} (f{fun})"),
-                expected,
-                found: args.len(),
-            });
-        }
-        Ok(())
     }
 
     fn eval_unop(&self, op: Unop, w: Word) -> Result<Word, RuntimeError> {
@@ -1154,9 +1140,11 @@ impl Process {
     // The FIR interpreter backend
     // ------------------------------------------------------------------
 
-    fn interp_call(&mut self, target: Word, args: Vec<Word>) -> Result<Transfer, RuntimeError> {
-        let (fun_id, full_args) = self.resolve_callee(target, args)?;
-        self.check_arity(fun_id, "interp call", &full_args)?;
+    fn interp_call(&mut self, target: Word, mut args: Vec<Word>) -> Result<Transfer, RuntimeError> {
+        let (fun_id, env) = self.resolve_callee(target)?;
+        if let Some(env) = env {
+            args.insert(0, env);
+        }
         let program = self
             .program
             .as_ref()
@@ -1166,8 +1154,16 @@ impl Process {
         let fun = program
             .fun(FunId(fun_id))
             .ok_or(RuntimeError::UnknownFunction(fun_id))?;
-        let mut env: HashMap<VarId, Word> = HashMap::with_capacity(full_args.len() * 2);
-        for ((var, _ty), value) in fun.params.iter().zip(full_args) {
+        if fun.params.len() != args.len() {
+            return Err(Self::arity_mismatch(
+                "interp call",
+                fun_id,
+                fun.params.len(),
+                args.len(),
+            ));
+        }
+        let mut env: HashMap<VarId, Word> = HashMap::with_capacity(args.len() * 2);
+        for ((var, _ty), value) in fun.params.iter().zip(args) {
             env.insert(*var, value);
         }
         // Clone the body so `self` is free for mutation during execution.
@@ -1409,37 +1405,76 @@ impl Process {
     // The bytecode VM backend
     // ------------------------------------------------------------------
 
+    /// Run the bytecode VM from `target(args)` until a transfer that needs
+    /// [`Process::run_loop`]: tail calls stay inside [`Process::vm_exec`].
     fn vm_call(&mut self, target: Word, args: Vec<Word>) -> Result<Transfer, RuntimeError> {
-        let (fun_id, full_args) = self.resolve_callee(target, args)?;
-        self.check_arity(fun_id, "vm call", &full_args)?;
+        let (fun_id, env) = self.resolve_callee(target)?;
         let bc = self
             .bytecode
-            .as_ref()
+            .clone()
             .ok_or(RuntimeError::MigrationRejected(
                 "bytecode backend selected but no compiled code present".into(),
             ))?;
+        // The register file and argument buffer move out of `self` for the
+        // run so the loop can borrow them alongside `&mut self`, and move
+        // back on every exit, errors included.
+        let mut regs = std::mem::take(&mut self.vm_regs);
+        let mut scratch = std::mem::take(&mut self.vm_args);
+        scratch.clear();
+        scratch.extend(env);
+        scratch.extend_from_slice(&args);
+        let result = self.vm_exec(&bc, fun_id, &mut regs, &mut scratch);
+        self.vm_regs = regs;
+        self.vm_args = scratch;
+        result
+    }
+
+    /// Enter function `fun_id` with `args`: check its arity, reset the
+    /// register file to exactly the new frame (arguments first, the rest
+    /// `Unit`, so no word of an earlier frame survives to become a GC root)
+    /// and return the code to run from pc 0.
+    fn vm_enter<'p>(
+        bc: &'p BytecodeProgram,
+        fun_id: u32,
+        regs: &mut Vec<Word>,
+        args: &[Word],
+    ) -> Result<&'p [Instr], RuntimeError> {
         let fun = bc
             .funs
             .get(fun_id as usize)
             .ok_or(RuntimeError::UnknownFunction(fun_id))?;
-        let nregs = fun.nregs as usize;
-        let code = fun.code.clone();
-        let mut regs: Vec<Word> = vec![Word::Unit; nregs.max(full_args.len())];
-        regs[..full_args.len()].copy_from_slice(&full_args);
-        self.vm_exec(&code, regs)
+        let nparams = fun.nparams as usize;
+        if nparams != args.len() {
+            return Err(Self::arity_mismatch("vm call", fun_id, nparams, args.len()));
+        }
+        regs.clear();
+        regs.extend_from_slice(args);
+        regs.resize((fun.nregs as usize).max(args.len()), Word::Unit);
+        Ok(&fun.code)
     }
 
-    fn vm_exec(&mut self, code: &[Instr], mut regs: Vec<Word>) -> Result<Transfer, RuntimeError> {
-        let reg = |regs: &Vec<Word>, r: u32| -> Word { regs[r as usize] };
-        let gather = |regs: &Vec<Word>, rs: &[u32]| -> Vec<Word> {
+    /// The dispatch loop.  `regs` is the current frame's register file;
+    /// `args` is scratch space for call and external arguments.
+    fn vm_exec(
+        &mut self,
+        bc: &BytecodeProgram,
+        fun_id: u32,
+        regs: &mut Vec<Word>,
+        args: &mut Vec<Word>,
+    ) -> Result<Transfer, RuntimeError> {
+        let reg = |regs: &[Word], r: u32| -> Word { regs[r as usize] };
+        let gather = |regs: &[Word], rs: &[u32]| -> Vec<Word> {
             rs.iter().map(|r| regs[*r as usize]).collect()
         };
+        let mut code = Self::vm_enter(bc, fun_id, regs, args)?;
         let mut pc = 0usize;
         loop {
             self.bump_step()?;
-            let instr = code.get(pc).ok_or(RuntimeError::MigrationRejected(
-                "program counter ran off the end of the function".into(),
-            ))?;
+            let instr = code.get(pc).ok_or_else(|| {
+                RuntimeError::MigrationRejected(
+                    "program counter ran off the end of the function".into(),
+                )
+            })?;
             pc += 1;
             match instr {
                 Instr::Const { dst, value } => {
@@ -1454,48 +1489,47 @@ impl Process {
                     regs[*dst as usize] = w;
                 }
                 Instr::FunRef { dst, fun } => regs[*dst as usize] = Word::Fun(*fun),
-                Instr::Move { dst, src } => regs[*dst as usize] = reg(&regs, *src),
+                Instr::Move { dst, src } => regs[*dst as usize] = reg(regs, *src),
                 Instr::Unop { dst, op, src } => {
-                    regs[*dst as usize] = self.eval_unop(*op, reg(&regs, *src))?
+                    regs[*dst as usize] = self.eval_unop(*op, reg(regs, *src))?
                 }
                 Instr::Binop { dst, op, lhs, rhs } => {
-                    regs[*dst as usize] =
-                        self.eval_binop(*op, reg(&regs, *lhs), reg(&regs, *rhs))?
+                    regs[*dst as usize] = self.eval_binop(*op, reg(regs, *lhs), reg(regs, *rhs))?
                 }
                 Instr::Alloc { dst, len, init } => {
-                    let len = Self::word_as_int(reg(&regs, *len), "alloc length")?;
-                    let init = reg(&regs, *init);
-                    let roots = self.gc_roots(&regs);
+                    let len = Self::word_as_int(reg(regs, *len), "alloc length")?;
+                    let init = reg(regs, *init);
+                    let roots = self.gc_roots(regs);
                     self.heap.maybe_gc(&roots);
                     regs[*dst as usize] = Word::Ptr(self.heap.alloc_array(len, init)?);
                 }
                 Instr::AllocRaw { dst, size } => {
-                    let size = Self::word_as_int(reg(&regs, *size), "raw alloc size")?;
-                    let roots = self.gc_roots(&regs);
+                    let size = Self::word_as_int(reg(regs, *size), "raw alloc size")?;
+                    let roots = self.gc_roots(regs);
                     self.heap.maybe_gc(&roots);
                     regs[*dst as usize] = Word::Ptr(self.heap.alloc_raw(size)?);
                 }
                 Instr::Tuple { dst, args } => {
-                    let words = gather(&regs, args);
-                    let roots = self.gc_roots(&regs);
+                    let words = gather(regs, args);
+                    let roots = self.gc_roots(regs);
                     self.heap.maybe_gc(&roots);
                     regs[*dst as usize] = Word::Ptr(self.heap.alloc_tuple(words)?);
                 }
                 Instr::Closure { dst, fun, captured } => {
-                    let words = gather(&regs, captured);
-                    let roots = self.gc_roots(&regs);
+                    let words = gather(regs, captured);
+                    let roots = self.gc_roots(regs);
                     self.heap.maybe_gc(&roots);
                     regs[*dst as usize] = Word::Ptr(self.heap.alloc_closure(*fun, words)?);
                 }
                 Instr::Load { dst, ptr, index } => {
-                    let p = Self::word_as_ptr(reg(&regs, *ptr), "load pointer")?;
-                    let i = Self::word_as_int(reg(&regs, *index), "load index")?;
+                    let p = Self::word_as_ptr(reg(regs, *ptr), "load pointer")?;
+                    let i = Self::word_as_int(reg(regs, *index), "load index")?;
                     regs[*dst as usize] = self.heap.load(p, i)?;
                 }
                 Instr::Store { ptr, index, value } => {
-                    let p = Self::word_as_ptr(reg(&regs, *ptr), "store pointer")?;
-                    let i = Self::word_as_int(reg(&regs, *index), "store index")?;
-                    self.heap.store(p, i, reg(&regs, *value))?;
+                    let p = Self::word_as_ptr(reg(regs, *ptr), "store pointer")?;
+                    let i = Self::word_as_int(reg(regs, *index), "store index")?;
+                    self.heap.store(p, i, reg(regs, *value))?;
                 }
                 Instr::LoadRaw {
                     dst,
@@ -1503,8 +1537,8 @@ impl Process {
                     ptr,
                     offset,
                 } => {
-                    let p = Self::word_as_ptr(reg(&regs, *ptr), "raw load pointer")?;
-                    let o = Self::word_as_int(reg(&regs, *offset), "raw load offset")?;
+                    let p = Self::word_as_ptr(reg(regs, *ptr), "raw load pointer")?;
+                    let o = Self::word_as_int(reg(regs, *offset), "raw load offset")?;
                     regs[*dst as usize] = Word::Int(self.heap.load_raw(p, o, *width)?);
                 }
                 Instr::StoreRaw {
@@ -1513,42 +1547,48 @@ impl Process {
                     offset,
                     value,
                 } => {
-                    let p = Self::word_as_ptr(reg(&regs, *ptr), "raw store pointer")?;
-                    let o = Self::word_as_int(reg(&regs, *offset), "raw store offset")?;
-                    let v = Self::word_as_int(reg(&regs, *value), "raw store value")?;
+                    let p = Self::word_as_ptr(reg(regs, *ptr), "raw store pointer")?;
+                    let o = Self::word_as_int(reg(regs, *offset), "raw store offset")?;
+                    let v = Self::word_as_int(reg(regs, *value), "raw store value")?;
                     self.heap.store_raw(p, o, *width, v)?;
                 }
                 Instr::Len { dst, ptr } => {
-                    let p = Self::word_as_ptr(reg(&regs, *ptr), "length pointer")?;
+                    let p = Self::word_as_ptr(reg(regs, *ptr), "length pointer")?;
                     regs[*dst as usize] = Word::Int(self.heap.block_len(p)? as i64);
                 }
-                Instr::Ext { dst, name, args } => {
-                    let words = gather(&regs, args);
-                    let name = name.clone();
-                    regs[*dst as usize] = self.call_extern(&name, &words)?;
+                Instr::Ext {
+                    dst,
+                    name,
+                    args: rs,
+                } => {
+                    args.clear();
+                    args.extend(rs.iter().map(|r| regs[*r as usize]));
+                    regs[*dst as usize] = self.call_extern(name.as_str(), args)?;
                 }
                 Instr::JumpIfFalse { cond, target } => {
-                    let c = Self::word_as_bool(reg(&regs, *cond), "branch condition")?;
+                    let c = Self::word_as_bool(reg(regs, *cond), "branch condition")?;
                     if !c {
                         pc = *target;
                     }
                 }
                 Instr::Jump { target } => pc = *target,
-                Instr::TailCall { target, args } => {
-                    return Ok(Transfer::Call {
-                        target: reg(&regs, *target),
-                        args: gather(&regs, args),
-                    })
+                Instr::TailCall { target, args: rs } => {
+                    let (callee, env) = self.resolve_callee(reg(regs, *target))?;
+                    args.clear();
+                    args.extend(env);
+                    args.extend(rs.iter().map(|r| regs[*r as usize]));
+                    code = Self::vm_enter(bc, callee, regs, args)?;
+                    pc = 0;
                 }
-                Instr::TailCallDirect { fun, args } => {
-                    return Ok(Transfer::Call {
-                        target: Word::Fun(*fun),
-                        args: gather(&regs, args),
-                    })
+                Instr::TailCallDirect { fun, args: rs } => {
+                    args.clear();
+                    args.extend(rs.iter().map(|r| regs[*r as usize]));
+                    code = Self::vm_enter(bc, *fun, regs, args)?;
+                    pc = 0;
                 }
                 Instr::Halt { value } => {
                     return Ok(Transfer::Halt(Self::word_as_int(
-                        reg(&regs, *value),
+                        reg(regs, *value),
                         "halt value",
                     )?))
                 }
@@ -1558,31 +1598,31 @@ impl Process {
                     fun,
                     args,
                 } => {
-                    let target_str = self.word_as_str(reg(&regs, *target), "migrate target")?;
+                    let target_str = self.word_as_str(reg(regs, *target), "migrate target")?;
                     return Ok(Transfer::Migrate {
                         label: *label,
                         target: target_str,
-                        fun: reg(&regs, *fun),
-                        args: gather(&regs, args),
+                        fun: reg(regs, *fun),
+                        args: gather(regs, args),
                     });
                 }
                 Instr::Speculate { fun, args } => {
                     return Ok(Transfer::Speculate {
-                        fun: reg(&regs, *fun),
-                        args: gather(&regs, args),
+                        fun: reg(regs, *fun),
+                        args: gather(regs, args),
                     })
                 }
                 Instr::Commit { level, fun, args } => {
                     return Ok(Transfer::Commit {
-                        level: Self::word_as_int(reg(&regs, *level), "commit level")?,
-                        fun: reg(&regs, *fun),
-                        args: gather(&regs, args),
+                        level: Self::word_as_int(reg(regs, *level), "commit level")?,
+                        fun: reg(regs, *fun),
+                        args: gather(regs, args),
                     })
                 }
                 Instr::Rollback { level, code } => {
                     return Ok(Transfer::Rollback {
-                        level: Self::word_as_int(reg(&regs, *level), "rollback level")?,
-                        code: Self::word_as_int(reg(&regs, *code), "rollback code")?,
+                        level: Self::word_as_int(reg(regs, *level), "rollback level")?,
+                        code: Self::word_as_int(reg(regs, *code), "rollback code")?,
                     })
                 }
             }
