@@ -17,9 +17,9 @@ use mojave_cluster::CostModel;
 use mojave_core::{InMemorySink, MigrationSink, Process, ProcessConfig};
 use mojave_fir::MigrateProtocol;
 use mojave_grid::{FailurePlan, GridConfig, GridOptions};
-use mojave_heap::{Heap, HeapConfig, Word};
+use mojave_heap::{Heap, HeapConfig, HeapSnapshot, Word};
 use mojave_runtime::{AsyncSink, PipelineConfig};
-use mojave_wire::{CodecId, CodecSet, WireReader, WireWriter};
+use mojave_wire::{CodecId, CodecSet, WireCodec, WireReader, WireWriter};
 use std::time::{Duration, Instant};
 
 const HEAP_SIZES_KB: [usize; 4] = [64, 256, 1024, 4096];
@@ -126,63 +126,90 @@ fn recompilation_share(c: &mut Criterion) {
     }
 }
 
-/// The wire hot path itself: batched slab encoding vs. the legacy per-word
-/// varint loop, on identical 1 MiB heaps, both directions.
+/// The v1 per-word heap image writer, kept here as the baseline the v5
+/// encoders are measured against (the library writes v5 only and still
+/// reads v1): table capacity, record count, then every live block through
+/// `WireCodec for Block`, one varint record per word.
+fn encode_v1(heap: &Heap) -> Vec<u8> {
+    let table = heap.pointer_table();
+    let mut w = WireWriter::with_capacity(heap.live_bytes());
+    w.write_usize(table.capacity());
+    w.write_usize(table.live());
+    for (idx, _) in table.iter_used() {
+        w.write_uvarint(idx.0 as u64);
+        heap.block(idx)
+            .expect("used entry holds a block")
+            .encode(&mut w);
+    }
+    w.into_bytes()
+}
+
+/// A full v5 image of the frozen heap.
+fn encode_v5(snap: &HeapSnapshot, allowed: CodecSet) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(snap.live_bytes());
+    snap.encode_image(&mut w, allowed);
+    w.into_bytes()
+}
+
+/// The wire hot path itself: the v5 slab writer (freeze + encode, with
+/// Raw frames so only the layout differs) vs. the v1 per-word varint
+/// baseline, on identical 1 MiB heaps, both directions.
+///
+/// Asserted in-bench, deterministically: both images decode to equal
+/// heaps, so the baseline writer stays a faithful v1 writer.
 fn heap_encode_paths(c: &mut Criterion) {
     const HEAP_BYTES: usize = 1024 * 1024;
     let mut heap = Heap::new();
     populate_heap(&mut heap, HEAP_BYTES);
+
+    let v1_bytes = encode_v1(&heap);
+    let v5_bytes = encode_v5(&heap.freeze(), CodecSet::raw_only());
+    let v1_heap =
+        Heap::decode_image_legacy(&mut WireReader::new(&v1_bytes), HeapConfig::default()).unwrap();
+    let v5_heap =
+        Heap::decode_image_compressed(&mut WireReader::new(&v5_bytes), HeapConfig::default())
+            .unwrap();
+    assert!(
+        v1_heap.snapshot() == v5_heap.snapshot() && v5_heap.snapshot() == heap.snapshot(),
+        "the v1 baseline and v5 Raw images must decode to the encoded heap"
+    );
 
     let mut group = c.benchmark_group("migration/heap_encode");
     group
         .sample_size(20)
         .measurement_time(Duration::from_secs(3))
         .throughput(Throughput::Bytes(HEAP_BYTES as u64));
-    group.bench_function("legacy_per_word_encode", |b| {
-        b.iter(|| {
-            let mut w = WireWriter::with_capacity(HEAP_BYTES);
-            heap.encode_image_legacy(&mut w);
-            w.into_bytes().len()
-        });
+    group.bench_function("v1_per_word_encode", |b| {
+        b.iter(|| encode_v1(&heap).len());
     });
-    group.bench_function("batched_encode", |b| {
-        b.iter(|| {
-            let mut w = WireWriter::with_capacity(HEAP_BYTES);
-            heap.encode_image(&mut w);
-            w.into_bytes().len()
-        });
+    group.bench_function("v5_raw_freeze_encode", |b| {
+        b.iter(|| encode_v5(&heap.freeze(), CodecSet::raw_only()).len());
     });
-
-    let mut w = WireWriter::new();
-    heap.encode_image_legacy(&mut w);
-    let legacy_bytes = w.into_bytes();
-    let mut w = WireWriter::new();
-    heap.encode_image(&mut w);
-    let batched_bytes = w.into_bytes();
-    group.bench_function("legacy_per_word_decode", |b| {
+    group.bench_function("v1_per_word_decode", |b| {
         b.iter(|| {
-            let mut r = WireReader::new(&legacy_bytes);
+            let mut r = WireReader::new(&v1_bytes);
             Heap::decode_image_legacy(&mut r, HeapConfig::default()).unwrap()
         });
     });
-    group.bench_function("batched_decode", |b| {
+    group.bench_function("v5_raw_decode", |b| {
         b.iter(|| {
-            let mut r = WireReader::new(&batched_bytes);
-            Heap::decode_image(&mut r, HeapConfig::default()).unwrap()
+            let mut r = WireReader::new(&v5_bytes);
+            Heap::decode_image_compressed(&mut r, HeapConfig::default()).unwrap()
         });
     });
     group.finish();
     eprintln!(
-        "heap image sizes for {} KiB of live data: legacy {} B, batched {} B",
+        "heap image sizes for {} KiB of live data: v1 per-word {} B, v5 Raw {} B",
         HEAP_BYTES / 1024,
-        legacy_bytes.len(),
-        batched_bytes.len()
+        v1_bytes.len(),
+        v5_bytes.len()
     );
 }
 
-/// Delta vs. full checkpoint cost as a function of the mutated fraction:
-/// the delta path's work should track the dirty percentage, the full path
-/// the total heap size.
+/// Delta vs. full checkpoint cost as a function of the mutated fraction,
+/// each a freeze plus a v5 encode within every codec, as a checkpoint
+/// pays it: the delta path's encode should track the dirty percentage,
+/// the full path the total heap size.
 fn delta_vs_full_checkpoints(c: &mut Criterion) {
     const HEAP_BYTES: usize = 1024 * 1024;
     let mut group = c.benchmark_group("migration/delta_vs_full");
@@ -190,6 +217,13 @@ fn delta_vs_full_checkpoints(c: &mut Criterion) {
         .sample_size(20)
         .measurement_time(Duration::from_secs(3));
 
+    let encode_delta = |heap: &mut Heap| {
+        let mut w = WireWriter::new();
+        heap.freeze()
+            .encode_delta_image(&mut w, CodecSet::all())
+            .expect("clean point");
+        w.into_bytes()
+    };
     let mut sizes = Vec::new();
     for percent in [1usize, 10, 50] {
         let mut heap = Heap::new();
@@ -200,12 +234,8 @@ fn delta_vs_full_checkpoints(c: &mut Criterion) {
         // Per-variant throughput: each path is credited with the bytes it
         // actually produces, so the delta numbers are not inflated by the
         // untouched remainder of the heap.
-        let mut w = WireWriter::new();
-        heap.encode_image(&mut w);
-        let full_len = w.into_bytes().len();
-        let mut w = WireWriter::new();
-        heap.encode_delta_image(&mut w);
-        let delta_len = w.into_bytes().len();
+        let full_len = encode_v5(&heap.freeze(), CodecSet::all()).len();
+        let delta_len = encode_delta(&mut heap).len();
         sizes.push((percent, full_len, delta_len));
 
         group.throughput(Throughput::Bytes(full_len as u64));
@@ -213,11 +243,7 @@ fn delta_vs_full_checkpoints(c: &mut Criterion) {
             BenchmarkId::new("full", format!("{percent}pct_dirty")),
             &percent,
             |b, _| {
-                b.iter(|| {
-                    let mut w = WireWriter::with_capacity(HEAP_BYTES);
-                    heap.encode_image(&mut w);
-                    w.into_bytes().len()
-                });
+                b.iter(|| encode_v5(&heap.freeze(), CodecSet::all()).len());
             },
         );
         group.throughput(Throughput::Bytes(delta_len as u64));
@@ -225,11 +251,7 @@ fn delta_vs_full_checkpoints(c: &mut Criterion) {
             BenchmarkId::new("delta", format!("{percent}pct_dirty")),
             &percent,
             |b, _| {
-                b.iter(|| {
-                    let mut w = WireWriter::new();
-                    heap.encode_delta_image(&mut w);
-                    w.into_bytes().len()
-                });
+                b.iter(|| encode_delta(&mut heap).len());
             },
         );
     }
@@ -248,8 +270,7 @@ fn delta_vs_full_checkpoints(c: &mut Criterion) {
 }
 
 /// Wire v5 slab compression: image size and encode/decode cost per codec
-/// on the 1 MiB small-int heap, against the v1 per-word varint baseline
-/// and the batched v4 layout.
+/// on the 1 MiB small-int heap, against the v1 per-word varint baseline.
 ///
 /// The *size* acceptance gate — v5 `VarintLz` full images at or below the
 /// v1 varint size — is deterministic and asserted here, loudly, so the CI
@@ -263,30 +284,15 @@ fn codec_compression(c: &mut Criterion) {
     const HEAP_BYTES: usize = 1024 * 1024;
     let mut heap = Heap::new();
     populate_heap(&mut heap, HEAP_BYTES);
-
-    let encode_v1 = |heap: &Heap| {
-        let mut w = WireWriter::with_capacity(HEAP_BYTES);
-        heap.encode_image_legacy(&mut w);
-        w.into_bytes()
-    };
-    let encode_v4 = |heap: &Heap| {
-        let mut w = WireWriter::with_capacity(HEAP_BYTES);
-        heap.encode_image(&mut w);
-        w.into_bytes()
-    };
-    let encode_v5 = |heap: &Heap, allowed: CodecSet| {
-        let mut w = WireWriter::with_capacity(HEAP_BYTES);
-        heap.encode_image_compressed(&mut w, allowed);
-        w.into_bytes()
-    };
+    // Frozen once: the v5 rows time the encode alone, like the v1 row.
+    let snap = heap.freeze();
 
     let v1 = encode_v1(&heap);
-    let v4 = encode_v4(&heap);
     let v5_by_codec: Vec<(CodecId, Vec<u8>)> = CodecId::ALL
         .iter()
-        .map(|&codec| (codec, encode_v5(&heap, CodecSet::only(codec))))
+        .map(|&codec| (codec, encode_v5(&snap, CodecSet::only(codec))))
         .collect();
-    let v5_auto = encode_v5(&heap, CodecSet::all());
+    let v5_auto = encode_v5(&snap, CodecSet::all());
 
     let mut group = c.benchmark_group("migration/codec");
     group
@@ -294,14 +300,13 @@ fn codec_compression(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3))
         .throughput(Throughput::Bytes(HEAP_BYTES as u64));
     group.bench_function("v1_per_word_encode", |b| b.iter(|| encode_v1(&heap).len()));
-    group.bench_function("v4_batched_encode", |b| b.iter(|| encode_v4(&heap).len()));
     for codec in CodecId::ALL {
         group.bench_function(format!("v5_{}_encode", codec.name().to_lowercase()), |b| {
-            b.iter(|| encode_v5(&heap, CodecSet::only(codec)).len())
+            b.iter(|| encode_v5(&snap, CodecSet::only(codec)).len())
         });
     }
     group.bench_function("v5_auto_encode", |b| {
-        b.iter(|| encode_v5(&heap, CodecSet::all()).len())
+        b.iter(|| encode_v5(&snap, CodecSet::all()).len())
     });
     for (codec, bytes) in &v5_by_codec {
         group.bench_function(format!("v5_{}_decode", codec.name().to_lowercase()), |b| {
@@ -324,7 +329,6 @@ fn codec_compression(c: &mut Criterion) {
         );
     };
     row("v1 per-word", v1.len());
-    row("v4 batched", v4.len());
     for (codec, bytes) in &v5_by_codec {
         row(&format!("v5 {}", codec.name()), bytes.len());
     }
@@ -356,7 +360,7 @@ fn codec_compression(c: &mut Criterion) {
         times[2]
     };
     let t_v1 = median_time(&|| encode_v1(&heap).len());
-    let t_v5 = median_time(&|| encode_v5(&heap, CodecSet::only(CodecId::VarintLz)).len());
+    let t_v5 = median_time(&|| encode_v5(&snap, CodecSet::only(CodecId::VarintLz)).len());
     let speedup = t_v1.as_secs_f64() / t_v5.as_secs_f64();
     eprintln!(
         "encode wall-clock: v1 per-word {:?}, v5 VarintLz {:?} ({speedup:.2}x; \

@@ -64,3 +64,9 @@ pub use migrate::{
 };
 pub use process::{Process, ProcessConfig, ProcessStats, RunOutcome};
 pub use speculate::SpeculationManager;
+
+// The heap crate's pre-v5 image writers, for the tests that build v1
+// images (the library writes v5 only).
+#[cfg(test)]
+#[path = "../../heap/tests/support/image_writers.rs"]
+mod image_writers;

@@ -60,11 +60,14 @@ impl PackedCode {
 /// heap, or an incremental delta against a named base checkpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HeapImage {
-    /// Full heap encoding, produced by `Heap::encode_image` (or the legacy
-    /// per-word encoder in v1 images).
+    /// Full heap encoding, written by
+    /// [`HeapSnapshot::encode_image`] in the v5 slab layout (decoded
+    /// images may also carry the v1 per-word or v4 batched layout).
     Full(Vec<u8>),
     /// Only the blocks dirtied since the base checkpoint plus the
-    /// pointer-table fixups, produced by `Heap::encode_delta_image`.
+    /// pointer-table fixups, written by
+    /// [`HeapSnapshot::encode_delta_image`] in the v5 slab layout
+    /// (decoded images may also carry a v4 batched delta).
     /// Resolving requires the base image, normally via
     /// [`CheckpointStore::load`].
     Delta {
@@ -501,9 +504,9 @@ impl MigrationImage {
         if !self.heap_image.is_delta() {
             return Ok(self.clone());
         }
-        let heap = self.decode_heap_with_base(base, HeapConfig::default())?;
+        let mut heap = self.decode_heap_with_base(base, HeapConfig::default())?;
         let mut w = WireWriter::with_capacity(self.heap_image.len() + base.heap_image.len());
-        heap.encode_image_compressed(&mut w, CodecSet::all());
+        heap.freeze().encode_image(&mut w, CodecSet::all());
         Ok(MigrationImage {
             format_version: FORMAT_VERSION,
             heap_image: HeapImage::Full(w.into_bytes()),
@@ -577,14 +580,12 @@ impl DeliveryOutcome {
 /// with the mutator.
 #[derive(Debug)]
 pub struct SnapshotPack {
-    /// Wire format version the encoded image will carry.
-    pub format_version: u32,
     /// Architecture tag of the packing machine.
     pub source_arch: String,
     /// The code section (FIR or compiled bytecode), shared with the
     /// process so freezing does not deep-clone the program on the mutator
     /// — the owned clone [`MigrationImage`] needs is taken by
-    /// [`SnapshotPack::into_image`], off-thread.
+    /// [`SnapshotPack::into_image`], off-thread when asynchronous.
     pub code: Arc<PackedCode>,
     /// The frozen heap.
     pub heap: HeapSnapshot,
@@ -601,9 +602,6 @@ pub struct SnapshotPack {
     pub open_speculations: u32,
     /// Negotiated slab-compression codecs for the heap payload.
     pub allowed: CodecSet,
-    /// Whether the sink predates compression: encode the batched v4
-    /// layout (and version) instead of v5 frames.
-    pub legacy_sink: bool,
     /// Nanoseconds the mutator spent in [`mojave_heap::Heap::freeze`] —
     /// the pause this pack actually cost, accounted into
     /// [`PipelineStats::pause_ns`].
@@ -624,31 +622,23 @@ impl SnapshotPack {
     }
 
     /// Run the deferred encode: serialise the frozen heap (full or delta,
-    /// compressed or batched per the negotiated settings) and assemble the
-    /// [`MigrationImage`].  Fills [`SnapshotPack::fingerprint_slot`] for
-    /// full images.  This is the expensive half a pipeline worker runs
-    /// off-thread; the error case ([`mojave_heap::HeapError::NoCleanPoint`])
+    /// v5 slab frames within the negotiated codecs) and assemble the
+    /// [`MigrationImage`], which always carries [`FORMAT_VERSION`].  Fills
+    /// [`SnapshotPack::fingerprint_slot`] for full images.  A pipeline
+    /// worker runs this off-thread; [`crate::Process::pack`] runs it at
+    /// once.  The error case ([`mojave_heap::HeapError::NoCleanPoint`])
     /// is unreachable when the pack came from
     /// [`crate::Process::pack_snapshot`], which validates the clean point.
     pub fn into_image(self) -> Result<MigrationImage, RuntimeError> {
         let heap_image = match &self.delta_base {
             None => {
                 let mut w = WireWriter::with_capacity(self.heap.live_bytes() + 256);
-                if self.legacy_sink {
-                    self.heap.encode_image(&mut w);
-                } else {
-                    self.heap.encode_image_compressed(&mut w, self.allowed);
-                }
+                self.heap.encode_image(&mut w, self.allowed);
                 HeapImage::Full(w.into_bytes())
             }
             Some((base, base_fingerprint)) => {
                 let mut w = WireWriter::new();
-                if self.legacy_sink {
-                    self.heap.encode_delta_image(&mut w)?;
-                } else {
-                    self.heap
-                        .encode_delta_image_compressed(&mut w, self.allowed)?;
-                }
+                self.heap.encode_delta_image(&mut w, self.allowed)?;
                 HeapImage::Delta {
                     base: base.clone(),
                     base_fingerprint: *base_fingerprint,
@@ -662,7 +652,7 @@ impl SnapshotPack {
             }
         }
         Ok(MigrationImage {
-            format_version: self.format_version,
+            format_version: FORMAT_VERSION,
             source_arch: self.source_arch,
             code: (*self.code).clone(),
             heap_image,
@@ -734,11 +724,10 @@ pub trait MigrationSink {
     }
 
     /// Codec negotiation: the slab-compression codecs this sink accepts
-    /// in heap payloads.  The default is [`CodecSet::raw_only`] — a sink
-    /// that does not implement the method is assumed to predate the
-    /// compression subsystem, and senders downgrade all the way to the
-    /// **batched v4 layout and version** for it (not merely v5 Raw
-    /// frames, which a pre-v5 decoder would still reject at the header).
+    /// in heap payloads.  The default is [`CodecSet::raw_only`]: a sink
+    /// that does not implement the method receives v5 images whose heap
+    /// frames are all stored [`mojave_wire::CodecId::Raw`] — images are
+    /// always written at [`FORMAT_VERSION`], whatever the sink accepts.
     /// In-tree sinks ([`InMemorySink`], the cluster sink) advertise
     /// [`CodecSet::all`].
     fn accepted_codecs(&self) -> CodecSet {
@@ -748,9 +737,9 @@ pub trait MigrationSink {
     /// Deliver a checkpoint whose expensive encode has been **deferred**:
     /// the caller froze the heap ([`SnapshotPack`]) and hands the encode +
     /// delivery to the sink.  The default implementation encodes inline
-    /// and delivers synchronously — byte-identical to the non-deferred
-    /// path, since snapshot images reproduce stop-the-world images
-    /// exactly.  An asynchronous sink (`mojave-runtime`'s `AsyncSink`)
+    /// and delivers synchronously — the same encode [`crate::Process::pack`]
+    /// runs, so for the same heap the bytes are identical.  An
+    /// asynchronous sink (`mojave-runtime`'s `AsyncSink`)
     /// overrides this to enqueue the pack for a worker thread and return
     /// immediately.
     fn deliver_deferred(
@@ -1117,6 +1106,7 @@ impl MigrationSink for InMemorySink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image_writers::{v1_image, v5_delta, v5_image};
     use mojave_fir::builder::{term, ProgramBuilder};
 
     fn tiny_image() -> MigrationImage {
@@ -1128,14 +1118,12 @@ mod tests {
 
         let mut heap = Heap::new();
         let env = heap.alloc_migrate_env(vec![Word::Int(5)]).unwrap();
-        let mut w = WireWriter::new();
-        heap.encode_image_compressed(&mut w, CodecSet::all());
 
         MigrationImage {
             format_version: FORMAT_VERSION,
             source_arch: "ia32-sim".into(),
             code: PackedCode::Fir(program),
-            heap_image: HeapImage::Full(w.into_bytes()),
+            heap_image: HeapImage::Full(v5_image(&mut heap, CodecSet::all())),
             migrate_env: env,
             resume_fun: Word::Fun(0),
             label: 3,
@@ -1148,10 +1136,8 @@ mod tests {
     fn tiny_image_v1() -> MigrationImage {
         let mut image = tiny_image();
         let heap = image.decode_heap(HeapConfig::default()).unwrap();
-        let mut w = WireWriter::new();
-        heap.encode_image_legacy(&mut w);
         image.format_version = MIN_SUPPORTED_VERSION;
-        image.heap_image = HeapImage::Full(w.into_bytes());
+        image.heap_image = HeapImage::Full(v1_image(&heap));
         image
     }
 
@@ -1195,13 +1181,11 @@ mod tests {
         let mut heap = base.decode_heap(HeapConfig::default()).unwrap();
         heap.mark_clean();
         let extra = heap.alloc_array(3, Word::Int(8)).unwrap();
-        let mut w = WireWriter::new();
-        heap.encode_delta_image_compressed(&mut w, CodecSet::all());
         let delta = MigrationImage {
             heap_image: HeapImage::Delta {
                 base: "ck-base".into(),
                 base_fingerprint: base.heap_image.fingerprint(),
-                bytes: w.into_bytes(),
+                bytes: v5_delta(&mut heap, CodecSet::all()),
             },
             ..base.clone()
         };
@@ -1234,13 +1218,11 @@ mod tests {
         let mut heap = base.decode_heap(HeapConfig::default()).unwrap();
         heap.mark_clean();
         heap.store(base.migrate_env, 0, Word::Int(77)).unwrap();
-        let mut w = WireWriter::new();
-        heap.encode_delta_image_compressed(&mut w, CodecSet::all());
         let delta = MigrationImage {
             heap_image: HeapImage::Delta {
                 base: "ck-0".into(),
                 base_fingerprint: base.heap_image.fingerprint(),
-                bytes: w.into_bytes(),
+                bytes: v5_delta(&mut heap, CodecSet::all()),
             },
             ..base.clone()
         };
@@ -1257,10 +1239,8 @@ mod tests {
         // the wrong image.
         let mut other = base.decode_heap(HeapConfig::default()).unwrap();
         other.store(base.migrate_env, 0, Word::Int(-1)).unwrap();
-        let mut w = WireWriter::new();
-        other.encode_image_compressed(&mut w, CodecSet::all());
         let overwritten = MigrationImage {
-            heap_image: HeapImage::Full(w.into_bytes()),
+            heap_image: HeapImage::Full(v5_image(&mut other, CodecSet::all())),
             ..base.clone()
         };
         store.put("ck-0", overwritten.to_bytes());
@@ -1287,11 +1267,9 @@ mod tests {
             heap.alloc_array(64, Word::Int(i % 10)).unwrap();
         }
         let env = heap.alloc_migrate_env(vec![Word::Int(5)]).unwrap();
-        let mut w = WireWriter::new();
-        heap.encode_image_compressed(&mut w, CodecSet::all());
         let image = MigrationImage {
             migrate_env: env,
-            heap_image: HeapImage::Full(w.into_bytes()),
+            heap_image: HeapImage::Full(v5_image(&mut heap, CodecSet::all())),
             ..tiny_image()
         };
         store.put("big", image.to_bytes());

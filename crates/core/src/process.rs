@@ -6,8 +6,7 @@ use crate::error::RuntimeError;
 use crate::externals::{DefaultExternals, ExtCall, Externals};
 use crate::machine::Machine;
 use crate::migrate::{
-    DeliveryOutcome, HeapImage, InMemorySink, MigrationImage, MigrationSink, PackedCode,
-    SnapshotPack,
+    DeliveryOutcome, InMemorySink, MigrationImage, MigrationSink, PackedCode, SnapshotPack,
 };
 use crate::speculate::SpeculationManager;
 use mojave_fir::{
@@ -15,7 +14,7 @@ use mojave_fir::{
 };
 use mojave_heap::{BlockKind, Heap, HeapConfig, Word};
 use mojave_obs::{EventKind, Recorder};
-use mojave_wire::{CodecId, CodecSet, WireWriter};
+use mojave_wire::{CodecId, CodecSet};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -145,27 +144,13 @@ pub struct ProcessStats {
     pub checkpoint_encode_ns: u64,
 }
 
-/// The heap-payload fingerprint of the last full checkpoint — the value a
-/// delta image must pin its base with.  Synchronous checkpoints know it
-/// immediately; asynchronous ones learn it once the pipeline worker has
-/// encoded the image (the [`OnceLock`] is filled by
-/// [`SnapshotPack::into_image`]).  Until then the process simply emits
-/// full images — never a delta against an unpinned base.
-#[derive(Debug, Clone)]
-enum BaseFingerprint {
-    /// Known at checkpoint time (synchronous pack).
-    Known(u64),
-    /// Will be filled by the deferred encoder.
-    Pending(Arc<OnceLock<u64>>),
-}
-
-impl BaseFingerprint {
-    fn get(&self) -> Option<u64> {
-        match self {
-            BaseFingerprint::Known(fp) => Some(*fp),
-            BaseFingerprint::Pending(slot) => slot.get().copied(),
-        }
-    }
+/// The flight-recorder id of a negotiated codec set: the codec when the
+/// set forces one ([`CodecSet::only`]), 0xFF when the encoder picks.
+fn codec_obs_id(allowed: CodecSet) -> u64 {
+    CodecId::ALL
+        .into_iter()
+        .find(|&codec| allowed == CodecSet::only(codec))
+        .map_or(0xFF, |codec| codec as u64)
 }
 
 /// Where control goes after a function body finishes executing.
@@ -221,8 +206,12 @@ pub struct Process {
     pending: Option<(Word, Vec<Word>)>,
     extern_env: ExternEnv,
     /// Name and heap-payload fingerprint of the last *full* checkpoint this
-    /// process stored — the base candidate for delta checkpoints.
-    checkpoint_base: Option<(String, BaseFingerprint)>,
+    /// process stored — the base candidate for delta checkpoints.  The
+    /// fingerprint slot is filled by [`SnapshotPack::into_image`]: at once
+    /// for a synchronous checkpoint, once the pipeline worker has encoded
+    /// the image for an asynchronous one.  Until then the process emits
+    /// full images — never a delta against an unpinned base.
+    checkpoint_base: Option<(String, Arc<OnceLock<u64>>)>,
     /// Consecutive delta checkpoints emitted against `checkpoint_base`.
     deltas_since_full: u32,
     /// Pipeline encode time already folded into
@@ -592,7 +581,7 @@ impl Process {
                         // store would replace the base with the delta that
                         // references it.
                         self.checkpoint_base.as_ref().and_then(|(base, fp)| {
-                            let fp = fp.get()?;
+                            let fp = *fp.get()?;
                             (base != dest && self.sink.has_base(base, fp))
                                 .then(|| (base.clone(), fp))
                         })
@@ -607,37 +596,30 @@ impl Process {
                         asynchronous as u64,
                     );
                     let pause_start = Instant::now();
-                    let outcome = if asynchronous {
-                        let mut pack = self.pack_snapshot(
-                            label,
-                            f,
-                            &a,
-                            delta_base.as_ref().map(|(b, fp)| (b.as_str(), *fp)),
-                        )?;
-                        if delta_base.is_none() && self.config.delta_checkpoints {
-                            // The frozen state is the new delta base, even
-                            // though its fingerprint is not known yet: the
-                            // clean point is declared *at the freeze*, and
-                            // the pending slot is filled by the deferred
-                            // encoder.  If the delivery later fails, the
-                            // base name never appears on the sink and
-                            // `has_base` keeps answering false — the
-                            // process just emits full images.
+                    if !asynchronous {
+                        self.collect_before_pack(f, &a);
+                    }
+                    let mut pack = self.pack_snapshot(
+                        label,
+                        f,
+                        &a,
+                        delta_base.as_ref().map(|(b, fp)| (b.as_str(), *fp)),
+                    )?;
+                    // A full checkpoint is the next delta base; the encode
+                    // fills the slot with its heap-payload fingerprint.
+                    let new_base = (protocol == MigrateProtocol::Checkpoint
+                        && delta_base.is_none()
+                        && self.config.delta_checkpoints)
+                        .then(|| {
                             let slot = Arc::new(OnceLock::new());
-                            pack.fingerprint_slot = Some(slot.clone());
-                            self.checkpoint_base =
-                                Some((dest.to_owned(), BaseFingerprint::Pending(slot)));
-                            self.deltas_since_full = 0;
-                            self.heap.mark_clean();
-                        }
+                            pack.fingerprint_slot = Some(Arc::clone(&slot));
+                            slot
+                        });
+                    let outcome = if asynchronous {
                         self.sink.deliver_deferred(protocol, dest, pack)
                     } else {
-                        let image = match &delta_base {
-                            Some((base, fingerprint)) => {
-                                self.pack_delta(label, f, &a, base, *fingerprint)?
-                            }
-                            None => self.pack(label, f, &a)?,
-                        };
+                        let codec = codec_obs_id(pack.allowed);
+                        let image = pack.into_image()?;
                         if protocol == MigrateProtocol::Checkpoint {
                             // On the synchronous path the mutator pays the
                             // encode itself.
@@ -647,11 +629,7 @@ impl Process {
                         if self.recorder.tracing() {
                             let (raw, stored) = image.heap_payload_wire_stats();
                             self.recorder.record(EventKind::Encode, raw, stored);
-                            self.recorder.record(
-                                EventKind::CodecChosen,
-                                self.config.heap_codec.map_or(0xFF, |c| c as u64),
-                                stored,
-                            );
+                            self.recorder.record(EventKind::CodecChosen, codec, stored);
                         }
                         let outcome = self.sink.deliver(protocol, dest, &image);
                         if self.recorder.tracing() {
@@ -661,25 +639,25 @@ impl Process {
                                 image.heap_payload_wire_stats().1,
                             );
                         }
-                        if outcome == DeliveryOutcome::Stored
-                            && protocol == MigrateProtocol::Checkpoint
-                            && delta_base.is_none()
-                            && self.config.delta_checkpoints
-                        {
-                            // The stored full image is the new base: dirty
-                            // tracking restarts (and arms) from this state,
-                            // and the fingerprint pins the base content
-                            // future deltas will be resolved against.  With
-                            // deltas disabled, none of this is paid.
-                            self.checkpoint_base = Some((
-                                dest.to_owned(),
-                                BaseFingerprint::Known(image.heap_image.fingerprint()),
-                            ));
+                        outcome
+                    };
+                    if let Some(slot) = new_base {
+                        if asynchronous || outcome == DeliveryOutcome::Stored {
+                            // The full image is the new base: dirty
+                            // tracking restarts (and arms) from the frozen
+                            // state.  An asynchronous checkpoint declares
+                            // it at once, before its fingerprint is known;
+                            // if its delivery later fails, the base name
+                            // never appears on the sink and `has_base`
+                            // keeps answering false, so the process just
+                            // emits full images.  A synchronous one waits
+                            // for the sink to store it.  With deltas
+                            // disabled, none of this is paid.
+                            self.checkpoint_base = Some((dest.to_owned(), slot));
                             self.deltas_since_full = 0;
                             self.heap.mark_clean();
                         }
-                        outcome
-                    };
+                    }
                     if protocol == MigrateProtocol::Checkpoint {
                         self.stats.checkpoint_pause_ns += pause_start.elapsed().as_nanos() as u64;
                     }
@@ -767,14 +745,18 @@ impl Process {
     ///
     /// `fun` and `args` are the continuation that execution resumes with;
     /// the args are exactly the live variables across the migration point
-    /// and are stored into a fresh `migrate_env` block.
+    /// and are stored into a fresh `migrate_env` block.  The pack is
+    /// [`Process::pack_snapshot`] after the paper's garbage collection,
+    /// encoded at once: the snapshot is consumed before the mutator
+    /// resumes, so no copy-on-write copy is ever paid.
     pub fn pack(
         &mut self,
         label: u32,
         fun: Word,
         args: &[Word],
     ) -> Result<MigrationImage, RuntimeError> {
-        self.pack_with(label, fun, args, None)
+        self.collect_before_pack(fun, args);
+        self.pack_snapshot(label, fun, args, None)?.into_image()
     }
 
     /// Like [`Process::pack`], but the heap payload is an incremental delta
@@ -785,7 +767,8 @@ impl Process {
     /// The caller is responsible for `base` actually being that clean
     /// point; the checkpoint flow in [`Process::run`] maintains this
     /// invariant (and negotiates availability via
-    /// [`MigrationSink::has_base`]).
+    /// [`MigrationSink::has_base`]).  A heap that never had a clean point
+    /// is rejected with [`RuntimeError::MigrationRejected`].
     pub fn pack_delta(
         &mut self,
         label: u32,
@@ -794,86 +777,34 @@ impl Process {
         base: &str,
         base_fingerprint: u64,
     ) -> Result<MigrationImage, RuntimeError> {
-        self.pack_with(label, fun, args, Some((base, base_fingerprint)))
+        self.collect_before_pack(fun, args);
+        self.pack_snapshot(label, fun, args, Some((base, base_fingerprint)))?
+            .into_image()
     }
 
-    fn pack_with(
-        &mut self,
-        label: u32,
-        fun: Word,
-        args: &[Word],
-        delta_base: Option<(&str, u64)>,
-    ) -> Result<MigrationImage, RuntimeError> {
-        if delta_base.is_some() && !self.heap.dirty_tracking_armed() {
-            return Err(RuntimeError::MigrationRejected(
-                "delta pack requested but no full checkpoint established a clean point".into(),
-            ));
-        }
-        // "The pack operation first performs garbage collection on the heap."
+    /// "The pack operation first performs garbage collection on the heap",
+    /// rooted at the continuation and its live variables, the open
+    /// speculations and the externals.
+    fn collect_before_pack(&mut self, fun: Word, args: &[Word]) {
         let mut roots: Vec<Word> = Vec::with_capacity(args.len() + 8);
         roots.extend_from_slice(args);
         roots.push(fun);
         roots.extend(self.spec.roots());
         roots.extend(self.externals.roots());
         self.heap.gc_major(&roots);
+    }
 
-        let migrate_env = self.heap.alloc_migrate_env(args.to_vec())?;
-        // Codec negotiation: the sink advertises what it accepts; the
-        // configured preference narrows that (falling back to Raw — which
-        // every sink accepts — when the preference is not advertised), and
-        // the slab encoder picks the smallest encoding within the set.
-        // A sink advertising *only* Raw is a pre-v5 runtime (the trait
-        // default): it receives the batched v4 layout — and version — it
-        // can actually decode, not v5 frames it would reject at the
-        // header.
+    /// Codec negotiation: the sink advertises what it accepts; the
+    /// configured preference narrows that (falling back to Raw — which
+    /// every sink accepts — when the preference is not advertised), and
+    /// the slab encoder picks the smallest encoding within the set.
+    fn negotiated_codecs(&self) -> CodecSet {
         let accepted = self.sink.accepted_codecs();
-        let legacy_sink = accepted == CodecSet::raw_only();
-        let allowed = match self.config.heap_codec {
+        match self.config.heap_codec {
             Some(codec) if accepted.contains(codec) => CodecSet::only(codec),
             Some(_) => CodecSet::only(CodecId::Raw),
             None => accepted,
-        };
-        let heap_image = match delta_base {
-            None => {
-                let mut w = WireWriter::with_capacity(self.heap.live_bytes() + 256);
-                if legacy_sink {
-                    self.heap.encode_image(&mut w);
-                } else {
-                    self.heap.encode_image_compressed(&mut w, allowed);
-                }
-                HeapImage::Full(w.into_bytes())
-            }
-            Some((base, base_fingerprint)) => {
-                let mut w = WireWriter::new();
-                if legacy_sink {
-                    self.heap.encode_delta_image(&mut w);
-                } else {
-                    self.heap.encode_delta_image_compressed(&mut w, allowed);
-                }
-                HeapImage::Delta {
-                    base: base.to_owned(),
-                    base_fingerprint,
-                    bytes: w.into_bytes(),
-                }
-            }
-        };
-
-        let code = self.packed_code()?;
-
-        Ok(MigrationImage {
-            format_version: if legacy_sink {
-                mojave_wire::BATCHED_VERSION
-            } else {
-                mojave_wire::FORMAT_VERSION
-            },
-            source_arch: self.config.machine.arch().to_owned(),
-            code,
-            heap_image,
-            migrate_env,
-            resume_fun: fun,
-            label,
-            open_speculations: self.heap.spec_depth() as u32,
-        })
+        }
     }
 
     /// The code section a pack ships: the FIR program, or compiled
@@ -905,22 +836,22 @@ impl Process {
         }
     }
 
-    /// The asynchronous counterpart of [`Process::pack`]: capture the
-    /// process state as a [`SnapshotPack`] whose heap half is a
-    /// **zero-pause** [`mojave_heap::HeapSnapshot`] — O(pointer-table)
+    /// Capture the process state as a [`SnapshotPack`] whose heap half is
+    /// a **zero-pause** [`mojave_heap::HeapSnapshot`] — O(pointer-table)
     /// copy-on-write freeze instead of a full encode.  The expensive
     /// encode is deferred to [`SnapshotPack::into_image`], which a
-    /// pipeline worker runs concurrently with the mutator.
+    /// pipeline worker runs concurrently with the mutator
+    /// (asynchronous checkpoints) or [`Process::pack`] runs at once.
     ///
-    /// Differences from the synchronous pack, by design:
-    ///
-    /// * **No pre-pack GC** — the paper's pack garbage-collects first,
-    ///   which is O(heap) mutator time; here dead blocks ride along in
-    ///   the image and are reclaimed by the next natural collection.
+    /// * **No GC** — the paper's pack garbage-collects first, which is
+    ///   O(heap) mutator time; [`Process::pack`] does so before calling
+    ///   this, while an asynchronous checkpoint lets dead blocks ride
+    ///   along in the image until the next natural collection.
     /// * The codec negotiation (sink's accepted codecs ∩ configured
-    ///   preference, legacy-sink downgrade to the batched v4 layout) is
-    ///   resolved *now* and recorded in the pack, so the worker needs no
-    ///   access to the process.
+    ///   preference) is resolved *now* and recorded in the pack, so the
+    ///   worker needs no access to the process.
+    /// * A delta pack (`delta_base` set) on a heap that never had a clean
+    ///   point is rejected with [`RuntimeError::MigrationRejected`].
     pub fn pack_snapshot(
         &mut self,
         label: u32,
@@ -934,13 +865,6 @@ impl Process {
             ));
         }
         let migrate_env = self.heap.alloc_migrate_env(args.to_vec())?;
-        let accepted = self.sink.accepted_codecs();
-        let legacy_sink = accepted == CodecSet::raw_only();
-        let allowed = match self.config.heap_codec {
-            Some(codec) if accepted.contains(codec) => CodecSet::only(codec),
-            Some(_) => CodecSet::only(CodecId::Raw),
-            None => accepted,
-        };
         let code = match &self.packed_code_cache {
             Some(code) => Arc::clone(code),
             None => {
@@ -953,11 +877,6 @@ impl Process {
         let heap = self.heap.freeze();
         let freeze_ns = freeze_start.elapsed().as_nanos() as u64;
         Ok(SnapshotPack {
-            format_version: if legacy_sink {
-                mojave_wire::BATCHED_VERSION
-            } else {
-                mojave_wire::FORMAT_VERSION
-            },
             source_arch: self.config.machine.arch().to_owned(),
             code,
             heap,
@@ -966,8 +885,7 @@ impl Process {
             resume_fun: fun,
             label,
             open_speculations: self.heap.spec_depth() as u32,
-            allowed,
-            legacy_sink,
+            allowed: self.negotiated_codecs(),
             freeze_ns,
             fingerprint_slot: None,
         })

@@ -7,7 +7,9 @@
 //! not go through `MigrationImage::to_bytes`, so it pins the *layout*, not
 //! whatever the current encoder happens to produce.
 
-use mojave_core::{CheckpointStore, HeapImage, MigrationImage, Process, ProcessConfig, RunOutcome};
+use mojave_core::{
+    CheckpointStore, HeapImage, MigrationImage, MigrationSink, Process, ProcessConfig, RunOutcome,
+};
 use mojave_fir::builder::{term, ProgramBuilder};
 use mojave_fir::Program;
 use mojave_heap::{HeapConfig, Word};
@@ -485,7 +487,9 @@ fn golden_v5_delta_payload_matches_the_live_encoder() {
     heap.mark_clean();
     heap.store(base.migrate_env, 0, Word::Int(9)).unwrap();
     let mut w = WireWriter::new();
-    heap.encode_delta_image_compressed(&mut w, mojave_wire::CodecSet::all());
+    heap.freeze()
+        .encode_delta_image(&mut w, mojave_wire::CodecSet::all())
+        .unwrap();
 
     let mut expect = WireWriter::new();
     expect.write_usize(1); // pointer-table capacity
@@ -524,41 +528,63 @@ fn golden_v5_delta_image_resolves_through_the_store_and_resumes() {
     assert_eq!(base.run().unwrap(), RunOutcome::Exit(5));
 }
 
-/// A sink that leaves `accepted_codecs` at its trait default — the
-/// stand-in for a pre-v5 runtime behind a forwarding sink.
-struct PreV5Sink;
+/// A sink that leaves `accepted_codecs` (and `deliver_deferred`) at its
+/// trait default — the stand-in for a pre-v5 runtime behind a forwarding
+/// sink.  Keeps the bytes of every image delivered to it.
+#[derive(Default)]
+struct PreV5Sink {
+    delivered: Vec<Vec<u8>>,
+}
 
 impl mojave_core::MigrationSink for PreV5Sink {
     fn deliver(
         &mut self,
         _protocol: mojave_fir::MigrateProtocol,
         _target: &str,
-        _image: &MigrationImage,
+        image: &MigrationImage,
     ) -> mojave_core::DeliveryOutcome {
+        self.delivered.push(image.to_bytes());
         mojave_core::DeliveryOutcome::Stored
     }
 }
 
 #[test]
-fn legacy_sinks_receive_batched_v4_images() {
-    // Negotiation must deliver real back-compat: a sink that never heard
-    // of codecs (trait-default `accepted_codecs`) gets the batched v4
-    // layout *and version*, which a pre-v5 decoder accepts — v5 frames,
-    // even Raw ones, would be rejected at the version header.
-    let mut process = Process::new(fixture_program(), ProcessConfig::default())
-        .unwrap()
-        .with_sink(Box::new(PreV5Sink));
-    let image = process.pack(3, Word::Fun(1), &[Word::Int(5)]).unwrap();
-    assert_eq!(image.format_version, BATCHED_VERSION);
+fn raw_only_sinks_receive_v5_raw_frames() {
+    // A sink that never heard of codecs (trait-default `accepted_codecs`)
+    // gets a v5 image whose heap frames are all stored Raw: images are
+    // always written at the current version.
+    let raw_only = || {
+        Process::new(fixture_program(), ProcessConfig::default())
+            .unwrap()
+            .with_sink(Box::new(PreV5Sink::default()))
+    };
+    let image = raw_only().pack(3, Word::Fun(1), &[Word::Int(5)]).unwrap();
+    assert_eq!(image.format_version, FORMAT_VERSION);
+    let HeapImage::Full(payload) = &image.heap_image else {
+        panic!("a full image")
+    };
+    let stats = mojave_heap::image_payload_stats(payload, false).expect("a v5 heap payload");
+    assert_eq!(
+        stats.raw_bytes, stats.stored_bytes,
+        "every heap frame is Raw"
+    );
     let heap = image.decode_heap(HeapConfig::default()).unwrap();
     assert_eq!(heap.load(image.migrate_env, 0).unwrap(), Word::Int(5));
-    // Round trip through bytes stays v4.
-    let back = MigrationImage::from_bytes(&image.to_bytes()).unwrap();
-    assert_eq!(back.format_version, BATCHED_VERSION);
+    // Round trip through bytes.
+    let bytes = image.to_bytes();
+    let back = MigrationImage::from_bytes(&bytes).unwrap();
+    assert_eq!(back, image);
+    assert_eq!(back.to_bytes(), bytes);
 
-    // The default sink (in-tree, codec-aware) produces v5 for the same
-    // process state.
-    assert_eq!(packed_v2_image().format_version, FORMAT_VERSION);
+    // The default deferred delivery (`pack_snapshot` → `into_image`)
+    // writes the same bytes as the synchronous pack.
+    let pack = raw_only()
+        .pack_snapshot(3, Word::Fun(1), &[Word::Int(5)], None)
+        .unwrap();
+    let mut sink = PreV5Sink::default();
+    let outcome = sink.deliver_deferred(mojave_fir::MigrateProtocol::Checkpoint, "ck", pack);
+    assert_eq!(outcome, mojave_core::DeliveryOutcome::Stored);
+    assert_eq!(sink.delivered, vec![bytes]);
 }
 
 #[test]

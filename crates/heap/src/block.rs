@@ -254,39 +254,12 @@ impl WireCodec for BlockKind {
 }
 
 impl Block {
-    /// Batched (v2) encoding: the payload is written as contiguous slabs —
-    /// a tag slab (`&[u8]`, one byte per word) plus a payload slab (8
-    /// little-endian bytes per word) for word blocks, or the raw byte slab
-    /// for byte blocks.  One length check per slab instead of a varint
-    /// decode per element; byte payloads are a single `extend_from_slice`.
-    pub fn encode_batched(&self, w: &mut WireWriter) {
-        w.write_uvarint(self.header.index.0 as u64);
-        self.header.kind.encode(w);
-        match &self.data {
-            BlockData::Words(words) => {
-                // Staging the slabs in temporaries looks wasteful but
-                // measures faster than writing word-by-word into the
-                // output: write_words grows the buffer once and fills it
-                // with a copy loop that vectorises, where per-word writes
-                // pay a capacity check each.
-                let mut tags = Vec::with_capacity(words.len());
-                let mut payloads = Vec::with_capacity(words.len());
-                for word in words.iter() {
-                    let (tag, payload) = word.to_raw();
-                    tags.push(tag);
-                    payloads.push(payload);
-                }
-                w.reserve(words.len() * 9 + 20);
-                w.write_bytes(&tags);
-                w.write_words(&payloads);
-            }
-            BlockData::Bytes(bytes) => {
-                w.write_bytes(bytes);
-            }
-        }
-    }
-
-    /// Decode a block written by [`Block::encode_batched`].
+    /// Decode a block in the batched layout of v4 images (decode only:
+    /// images are written in the v5 slab layout).  The payload is
+    /// contiguous slabs — a tag slab (`&[u8]`, one byte per word) plus a
+    /// payload slab (8 little-endian bytes per word) for word blocks, or
+    /// the raw byte slab for byte blocks — so decode pays one length check
+    /// per slab instead of a varint decode per element.
     pub fn decode_batched(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let index = PtrIdx(r.read_uvarint()? as u32);
         let kind = BlockKind::decode(r)?;
@@ -437,7 +410,7 @@ mod tests {
         ];
         for block in blocks {
             let mut w = mojave_wire::WireWriter::new();
-            block.encode_batched(&mut w);
+            crate::image_writers::write_v4_block(&mut w, &block);
             let bytes = w.into_bytes();
             let mut r = mojave_wire::WireReader::new(&bytes);
             let back = Block::decode_batched(&mut r).unwrap();

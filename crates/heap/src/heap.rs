@@ -7,18 +7,18 @@ use crate::error::HeapError;
 use crate::pointer_table::{PointerTable, PtrIdx};
 use crate::stats::HeapStats;
 use crate::word::Word;
-use mojave_wire::{
-    choose_bytes, choose_words, CodecSet, FrameStats, WireCodec, WireError, WireReader, WireWriter,
-};
+use mojave_wire::{FrameStats, WireCodec, WireError, WireReader};
 use std::collections::{HashMap, HashSet};
 
 /// Which block codec a heap image payload uses — selected by the image's
-/// wire format version (`mojave-core` maps versions to codecs).
+/// wire format version (`mojave-core` maps versions to codecs).  Only
+/// [`ImageCodec::Slab`] is still written; the others decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImageCodec {
-    /// v1 images: one varint-encoded record per word.
+    /// v1 images (decode only): one varint-encoded record per word.
     PerWord,
-    /// v4 images: batched per-block tag/payload slabs, uncompressed.
+    /// v4 images (decode only): batched per-block tag/payload slabs,
+    /// uncompressed.
     Batched,
     /// v5 images: structure-of-arrays slabs in codec-tagged compressed
     /// frames (see `mojave-codec`).
@@ -674,8 +674,9 @@ impl Heap {
     // ------------------------------------------------------------------
 
     /// Declare the current heap state *clean*: subsequent mutations,
-    /// allocations and frees are tracked relative to this point, and
-    /// [`Heap::encode_delta_image`] ships exactly that tracked set.
+    /// allocations and frees are tracked relative to this point, and a
+    /// delta image ([`crate::HeapSnapshot::encode_delta_image`]) ships
+    /// exactly that tracked set.
     ///
     /// The first call **arms** dirty tracking — before it, mutation paths
     /// skip the bookkeeping entirely, so heaps that never take delta
@@ -691,8 +692,7 @@ impl Heap {
     }
 
     /// Whether dirty tracking has been armed by a [`Heap::mark_clean`],
-    /// i.e. whether [`Heap::encode_delta_image`] has a clean point to be
-    /// relative to.
+    /// i.e. whether a delta image has a clean point to be relative to.
     pub fn dirty_tracking_armed(&self) -> bool {
         self.tracking
     }
@@ -728,18 +728,18 @@ impl Heap {
     /// Freeze the current program-visible heap state into an owned,
     /// thread-safe [`crate::HeapSnapshot`] in **O(pointer-table)** time.
     ///
-    /// This is the zero-pause half of the asynchronous checkpoint pipeline
-    /// (paper §4.3's copy-on-write machinery turned outward): block
-    /// payloads are reference-counted, so the freeze clones pointers, not
-    /// bytes.  The mutator resumes immediately; the first subsequent write
-    /// to each still-shared block pays that block's copy lazily
+    /// Every heap image is encoded from a snapshot (paper §4.3's
+    /// copy-on-write machinery turned outward): block payloads are
+    /// reference-counted, so the freeze clones pointers, not bytes.  A
+    /// synchronous checkpoint encodes and drops the snapshot before the
+    /// mutator resumes; an asynchronous one hands it to a pipeline worker
+    /// and resumes at once, and the first subsequent write to each
+    /// still-shared block pays that block's copy lazily
     /// ([`HeapStats::shared_payload_copies`] counts them), exactly like the
     /// first write inside a speculation level.
     ///
-    /// The snapshot also captures the dirty/freed tracking state, so a
-    /// delta image encoded from it is byte-identical to the delta a
-    /// stop-the-world [`Heap::encode_delta_image_compressed`] would have
-    /// produced at the freeze point.
+    /// The snapshot also captures the dirty/freed tracking state, so it
+    /// can encode the delta since the last [`Heap::mark_clean`] too.
     ///
     /// Interactions (all safe, by construction — the snapshot owns its
     /// records and never looks back at the heap):
@@ -774,65 +774,21 @@ impl Heap {
             .filter(|p| self.table.lookup(*p).is_some())
             .collect();
         dirty.sort();
+        let mut freed: Vec<PtrIdx> = self.freed_since_clean.iter().copied().collect();
+        freed.sort();
         self.recorder.record(
             mojave_obs::EventKind::Freeze,
             records.len() as u64,
             self.live_bytes as u64,
         );
-        crate::HeapSnapshot::new(
-            self.table.capacity(),
-            records,
-            dirty,
-            self.sorted_freed(),
-            self.tracking,
-        )
+        crate::HeapSnapshot::new(self.table.capacity(), records, dirty, freed, self.tracking)
     }
 
     // ------------------------------------------------------------------
     // Migration image (paper §4.2.2: pack / unpack of heap + pointer table)
     // ------------------------------------------------------------------
 
-    /// Serialise the live heap (pointer table and all live blocks) into the
-    /// canonical wire format, using the **batched** v2 block codec (slab
-    /// payloads, one length check per slab).  The caller normally
-    /// garbage-collects first so only live data is shipped.
-    pub fn encode_image(&self, w: &mut WireWriter) {
-        self.encode_blocks(w, true);
-    }
-
-    /// Serialise the live heap with the legacy v1 per-word codec.
-    ///
-    /// Kept for two reasons: regenerating v1 fixtures for the back-compat
-    /// tests, and serving as the baseline the `migration` bench compares
-    /// the batched path against.
-    pub fn encode_image_legacy(&self, w: &mut WireWriter) {
-        self.encode_blocks(w, false);
-    }
-
-    fn encode_blocks(&self, w: &mut WireWriter, batched: bool) {
-        let records = self.live_records();
-        encode_full_records(w, self.table.capacity(), &records, batched);
-    }
-
-    /// The live `(index, block)` records in ascending pointer order — the
-    /// record list every full-image layout serialises.  [`Heap::freeze`]
-    /// captures exactly this list (as owned, payload-shared blocks), which
-    /// is why snapshot images are byte-identical to stop-the-world ones.
-    fn live_records(&self) -> Vec<(PtrIdx, &Block)> {
-        self.table
-            .iter_used()
-            .map(|(idx, slot)| {
-                (
-                    idx,
-                    self.blocks[slot]
-                        .as_ref()
-                        .expect("used table entry points at a block"),
-                )
-            })
-            .collect()
-    }
-
-    /// Rebuild a heap from an image produced by [`Heap::encode_image`].
+    /// Rebuild a heap from a v4 (batched) full image.
     ///
     /// Pointer indices are preserved exactly (heap words contain indices, so
     /// identity must survive the round trip); slots are assigned fresh.
@@ -841,8 +797,8 @@ impl Heap {
         Heap::build_from_blocks(capacity, blocks, config)
     }
 
-    /// Rebuild a heap from a legacy (v1, per-word) image produced before
-    /// the batched pipeline — see [`mojave_wire::MIN_SUPPORTED_VERSION`].
+    /// Rebuild a heap from a legacy v1 (per-word) full image — see
+    /// [`mojave_wire::MIN_SUPPORTED_VERSION`].
     pub fn decode_image_legacy(
         r: &mut WireReader<'_>,
         config: HeapConfig,
@@ -851,25 +807,8 @@ impl Heap {
         Heap::build_from_blocks(capacity, blocks, config)
     }
 
-    /// Serialise the live heap in the **compressed v5 slab layout**: block
-    /// headers, word tags, word payloads and byte payloads are gathered
-    /// into four structure-of-arrays slabs, each written as a codec-tagged
-    /// compressed frame.  The word-payload codec is picked from `allowed`
-    /// by [`mojave_wire::choose_words`] (sample the slab, take the
-    /// smallest encoding); pass [`CodecSet::only`] to force one, or
-    /// [`CodecSet::raw_only`] when the receiving sink negotiated no
-    /// compression.
-    ///
-    /// On small-int heaps this wins back the ~3× byte cost the batched v4
-    /// layout paid over v1 varints — and then some — while the SoA
-    /// staging keeps encode as fast as the batched path.
-    pub fn encode_image_compressed(&self, w: &mut WireWriter, allowed: CodecSet) {
-        let records = self.live_records();
-        encode_full_slab(w, self.table.capacity(), &records, allowed);
-    }
-
-    /// Rebuild a heap from an image produced by
-    /// [`Heap::encode_image_compressed`].
+    /// Rebuild a heap from a v5 (slab) full image, as
+    /// [`crate::HeapSnapshot::encode_image`] writes it.
     pub fn decode_image_compressed(
         r: &mut WireReader<'_>,
         config: HeapConfig,
@@ -998,88 +937,9 @@ impl Heap {
         }
     }
 
-    /// Serialise only what changed since the last [`Heap::mark_clean`]: the
-    /// dirty live blocks (full content, batched codec) plus the
-    /// pointer-table fixups (freed indices and the current table capacity).
-    ///
-    /// Applying the result to the base image with
-    /// [`Heap::decode_delta_image`] reconstructs exactly the current heap,
-    /// so checkpoint cost is proportional to the data actually mutated, not
-    /// to total heap size.
-    ///
-    /// # Panics
-    /// Panics if dirty tracking was never armed by a [`Heap::mark_clean`]:
-    /// without a clean point there is no base to be relative to, and
-    /// encoding "nothing changed" would silently resolve to stale state.
-    pub fn encode_delta_image(&self, w: &mut WireWriter) {
-        let records = self.delta_dirty_records();
-        encode_delta_batched(w, self.table.capacity(), &records, &self.sorted_freed());
-    }
-
-    /// Serialise the dirty set in the **compressed v5 slab layout** — the
-    /// delta counterpart of [`Heap::encode_image_compressed`], with the
-    /// same codec negotiation through `allowed`.
-    ///
-    /// # Panics
-    /// Panics if dirty tracking was never armed by a [`Heap::mark_clean`],
-    /// exactly like [`Heap::encode_delta_image`].
-    pub fn encode_delta_image_compressed(&self, w: &mut WireWriter, allowed: CodecSet) {
-        let records = self.delta_dirty_records();
-        encode_delta_slab(
-            w,
-            self.table.capacity(),
-            &records,
-            &self.sorted_freed(),
-            allowed,
-        );
-    }
-
-    /// The live dirty blocks, sorted by pointer index — the record set
-    /// both delta encoders ship.  Sorting makes identical states produce
-    /// identical images (the dirty set iterates in hash order); keeping
-    /// the collection in one place keeps the determinism-critical order
-    /// from diverging between the batched and compressed layouts.
-    ///
-    /// # Panics
-    /// Panics if dirty tracking was never armed by a [`Heap::mark_clean`]:
-    /// without a clean point there is no base to be relative to, and
-    /// encoding "nothing changed" would silently resolve to stale state.
-    fn delta_dirty_records(&self) -> Vec<(PtrIdx, &Block)> {
-        assert!(
-            self.tracking,
-            "encode_delta_image requires a prior mark_clean (no base to delta against)"
-        );
-        let mut dirty: Vec<PtrIdx> = self
-            .dirty
-            .iter()
-            .copied()
-            .filter(|p| self.table.lookup(*p).is_some())
-            .collect();
-        dirty.sort();
-        dirty
-            .into_iter()
-            .map(|ptr| {
-                let slot = self.table.lookup(ptr).expect("filtered to live entries");
-                (
-                    ptr,
-                    self.blocks[slot]
-                        .as_ref()
-                        .expect("used table entry points at a block"),
-                )
-            })
-            .collect()
-    }
-
-    /// The sorted freed-index fixup list both delta layouts append.
-    fn sorted_freed(&self) -> Vec<PtrIdx> {
-        let mut freed: Vec<PtrIdx> = self.freed_since_clean.iter().copied().collect();
-        freed.sort();
-        freed
-    }
-
-    /// Rebuild a heap from a base image plus a delta produced by
-    /// [`Heap::encode_delta_image`] (or its compressed v5 counterpart)
-    /// against it.
+    /// Rebuild a heap from a base image plus a delta against it (v5 deltas
+    /// are written by [`crate::HeapSnapshot::encode_delta_image`]; v4
+    /// deltas still decode).
     ///
     /// `base_codec` / `delta_codec` select each payload's block codec (the
     /// caller maps wire format versions — a v5 delta may resolve against a
@@ -1250,187 +1110,11 @@ impl Heap {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared record-list encoders
-//
-// Full and delta images, in every layout, serialise a `(pointer index,
-// block)` record list plus a little framing.  [`Heap`] passes its live (or
-// dirty) records; [`crate::HeapSnapshot`] passes the frozen records it
-// captured — going through the same functions is what makes a snapshot
-// image byte-identical to a stop-the-world image of the same logical state.
-// ---------------------------------------------------------------------------
-
-/// Write a full image: table capacity, record count, then each record in
-/// the batched (v4) or legacy per-word (v1) block layout.
-pub(crate) fn encode_full_records(
-    w: &mut WireWriter,
-    capacity: usize,
-    records: &[(PtrIdx, &Block)],
-    batched: bool,
-) {
-    w.write_usize(capacity);
-    w.write_usize(records.len());
-    for (idx, block) in records {
-        w.write_uvarint(idx.0 as u64);
-        if batched {
-            block.encode_batched(w);
-        } else {
-            block.encode(w);
-        }
-    }
-}
-
-/// Write a full image in the compressed v5 slab layout.
-pub(crate) fn encode_full_slab(
-    w: &mut WireWriter,
-    capacity: usize,
-    records: &[(PtrIdx, &Block)],
-    allowed: CodecSet,
-) {
-    w.write_usize(capacity);
-    w.write_usize(records.len());
-    encode_records_slab(w, records, allowed);
-}
-
-/// Write a delta image in the batched (v4) block layout: capacity, dirty
-/// records, then the freed-index fixups.
-pub(crate) fn encode_delta_batched(
-    w: &mut WireWriter,
-    capacity: usize,
-    records: &[(PtrIdx, &Block)],
-    freed: &[PtrIdx],
-) {
-    w.write_usize(capacity);
-    w.write_usize(records.len());
-    for (ptr, block) in records {
-        w.write_uvarint(ptr.0 as u64);
-        block.encode_batched(w);
-    }
-    write_freed_fixups(w, freed);
-}
-
-/// Write a delta image in the compressed v5 slab layout.
-pub(crate) fn encode_delta_slab(
-    w: &mut WireWriter,
-    capacity: usize,
-    records: &[(PtrIdx, &Block)],
-    freed: &[PtrIdx],
-    allowed: CodecSet,
-) {
-    w.write_usize(capacity);
-    w.write_usize(records.len());
-    encode_records_slab(w, records, allowed);
-    write_freed_fixups(w, freed);
-}
-
-/// The freed-index fixup list both delta layouts append (`freed` must be
-/// sorted so identical states produce identical images).
-pub(crate) fn write_freed_fixups(w: &mut WireWriter, freed: &[PtrIdx]) {
-    debug_assert!(freed.windows(2).all(|p| p[0] < p[1]));
-    w.write_usize(freed.len());
-    for ptr in freed {
-        w.write_uvarint(ptr.0 as u64);
-    }
-}
-
-/// Gather `records` into the four v5 slabs and write them as
-/// compressed frames: meta (index, kind, length per record), word
-/// tags, word payloads, byte payloads.  Shared by full and delta
-/// encoding.
-///
-/// Hot-path shape: one sizing pass (which also emits the meta slab),
-/// the word codec chosen from a staged *prefix sample* only, then one
-/// fused staging pass — when the delta-varint filter wins, payload
-/// words stream straight through [`mojave_wire::VarintStream`] and the
-/// 8-bytes-per-word `u64` slab is never materialised.
-pub(crate) fn encode_records_slab(
-    w: &mut WireWriter,
-    records: &[(PtrIdx, &Block)],
-    allowed: CodecSet,
-) {
-    // Staging exactly the codec crate's choice-sample prefix makes
-    // the sampled choice identical to a choice over the full slab.
-    use mojave_wire::CHOICE_SAMPLE_WORDS;
-
-    let mut meta = WireWriter::new();
-    let mut word_total = 0usize;
-    let mut byte_total = 0usize;
-    for (idx, block) in records {
-        meta.write_uvarint(idx.0 as u64);
-        block.header.kind.encode(&mut meta);
-        meta.write_usize(block.len());
-        match &block.data {
-            BlockData::Words(words) => word_total += words.len(),
-            BlockData::Bytes(bytes) => byte_total += bytes.len(),
-        }
-    }
-
-    let mut sample: Vec<u64> = Vec::with_capacity(word_total.min(CHOICE_SAMPLE_WORDS));
-    'sample: for (_, block) in records {
-        if let BlockData::Words(words) = &block.data {
-            for word in words.iter() {
-                if sample.len() == CHOICE_SAMPLE_WORDS {
-                    break 'sample;
-                }
-                sample.push(word.to_raw().1);
-            }
-        }
-    }
-    let word_codec = choose_words(&sample, allowed);
-    drop(sample);
-
-    w.write_byte_frame(meta.as_bytes(), choose_bytes(meta.as_bytes(), allowed));
-    let mut tags: Vec<u8> = Vec::with_capacity(word_total);
-    let mut raw: Vec<u8> = Vec::with_capacity(byte_total);
-    match word_codec {
-        mojave_wire::CodecId::Varint | mojave_wire::CodecId::VarintLz => {
-            let mut varint: Vec<u8> = Vec::with_capacity(word_total * 2 + 16);
-            let mut stream = mojave_wire::VarintStream::new();
-            for (_, block) in records {
-                match &block.data {
-                    BlockData::Words(words) => {
-                        for word in words.iter() {
-                            let (tag, value) = word.to_raw();
-                            tags.push(tag);
-                            stream.push(value, &mut varint);
-                        }
-                    }
-                    BlockData::Bytes(bytes) => raw.extend_from_slice(bytes),
-                }
-            }
-            w.write_byte_frame(&tags, choose_bytes(&tags, allowed));
-            if word_codec == mojave_wire::CodecId::VarintLz {
-                let mut folded = Vec::new();
-                mojave_wire::compress_lz_bytes(&varint, &mut folded);
-                w.write_word_frame_parts(word_total, word_codec, &folded);
-            } else {
-                w.write_word_frame_parts(word_total, word_codec, &varint);
-            }
-        }
-        mojave_wire::CodecId::Raw | mojave_wire::CodecId::Lz => {
-            let mut payload: Vec<u64> = Vec::with_capacity(word_total);
-            for (_, block) in records {
-                match &block.data {
-                    BlockData::Words(words) => {
-                        for word in words.iter() {
-                            let (tag, value) = word.to_raw();
-                            tags.push(tag);
-                            payload.push(value);
-                        }
-                    }
-                    BlockData::Bytes(bytes) => raw.extend_from_slice(bytes),
-                }
-            }
-            w.write_byte_frame(&tags, choose_bytes(&tags, allowed));
-            w.write_word_frame(&payload, word_codec);
-        }
-    }
-    w.write_byte_frame(&raw, choose_bytes(&raw, allowed));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image_writers::{v1_image, v4_delta, v4_image, v5_delta, v5_image, write_v4_block};
+    use mojave_wire::{CodecSet, WireWriter};
 
     #[test]
     fn alloc_load_store_roundtrip() {
@@ -1697,9 +1381,7 @@ mod tests {
         heap.free_block(tmp);
         let b = heap.alloc_array(2, Word::Int(1)).unwrap();
 
-        let mut w = WireWriter::new();
-        heap.encode_image(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = v4_image(&heap);
         let mut r = WireReader::new(&bytes);
         let back = Heap::decode_image(&mut r, HeapConfig::default()).unwrap();
         assert!(r.is_empty());
@@ -1729,9 +1411,7 @@ mod tests {
     #[test]
     fn legacy_image_roundtrip_still_decodes() {
         let (heap, a, s, t) = populated_heap();
-        let mut w = WireWriter::new();
-        heap.encode_image_legacy(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = v1_image(&heap);
         let mut r = WireReader::new(&bytes);
         let back = Heap::decode_image_legacy(&mut r, HeapConfig::default()).unwrap();
         assert!(r.is_empty());
@@ -1744,12 +1424,8 @@ mod tests {
     #[test]
     fn batched_and_legacy_images_decode_to_equal_heaps() {
         let (heap, ..) = populated_heap();
-        let mut w_batched = WireWriter::new();
-        heap.encode_image(&mut w_batched);
-        let mut w_legacy = WireWriter::new();
-        heap.encode_image_legacy(&mut w_legacy);
-        let b1 = w_batched.into_bytes();
-        let b2 = w_legacy.into_bytes();
+        let b1 = v4_image(&heap);
+        let b2 = v1_image(&heap);
         let h1 = Heap::decode_image(&mut WireReader::new(&b1), HeapConfig::default()).unwrap();
         let h2 =
             Heap::decode_image_legacy(&mut WireReader::new(&b2), HeapConfig::default()).unwrap();
@@ -1759,7 +1435,7 @@ mod tests {
 
     #[test]
     fn compressed_image_roundtrip_matches_batched() {
-        let (heap, a, s, t) = populated_heap();
+        let (mut heap, a, s, t) = populated_heap();
         for allowed in [
             CodecSet::all(),
             CodecSet::raw_only(),
@@ -1767,9 +1443,7 @@ mod tests {
             CodecSet::only(mojave_wire::CodecId::Lz),
             CodecSet::only(mojave_wire::CodecId::VarintLz),
         ] {
-            let mut w = WireWriter::new();
-            heap.encode_image_compressed(&mut w, allowed);
-            let bytes = w.into_bytes();
+            let bytes = v5_image(&mut heap, allowed);
             let mut r = WireReader::new(&bytes);
             let back = Heap::decode_image_compressed(&mut r, HeapConfig::default()).unwrap();
             assert!(r.is_empty());
@@ -1788,13 +1462,11 @@ mod tests {
         for i in 0..200 {
             heap.alloc_array(64, Word::Int(i % 50)).unwrap();
         }
-        let mut legacy = WireWriter::new();
-        heap.encode_image_legacy(&mut legacy);
-        let mut batched = WireWriter::new();
-        heap.encode_image(&mut batched);
-        let mut compressed = WireWriter::new();
-        heap.encode_image_compressed(&mut compressed, CodecSet::all());
-        let (v1, v4, v5) = (legacy.len(), batched.len(), compressed.len());
+        let (v1, v4, v5) = (
+            v1_image(&heap).len(),
+            v4_image(&heap).len(),
+            v5_image(&mut heap, CodecSet::all()).len(),
+        );
         assert!(v4 > v1, "batched trades bytes for speed: {v4} vs {v1}");
         assert!(v5 < v1, "compressed must beat v1 varints: {v5} vs {v1}");
         assert!(v5 * 8 < v4, "compressed ≥8× below batched: {v5} vs {v4}");
@@ -1805,12 +1477,8 @@ mod tests {
         let (mut heap, a, _s, t) = populated_heap();
         // Base in v4 batched *and* v5 compressed form: a v5 delta must
         // resolve against either.
-        let mut base_batched = WireWriter::new();
-        heap.encode_image(&mut base_batched);
-        let base_batched = base_batched.into_bytes();
-        let mut base_slab = WireWriter::new();
-        heap.encode_image_compressed(&mut base_slab, CodecSet::all());
-        let base_slab = base_slab.into_bytes();
+        let base_batched = v4_image(&heap);
+        let base_slab = v5_image(&mut heap, CodecSet::all());
         heap.mark_clean();
 
         heap.store(a, 0, Word::Int(-9)).unwrap();
@@ -1818,9 +1486,7 @@ mod tests {
         heap.store(t, 2, Word::Ptr(fresh)).unwrap();
         heap.free_block(a);
 
-        let mut delta = WireWriter::new();
-        heap.encode_delta_image_compressed(&mut delta, CodecSet::all());
-        let delta_bytes = delta.into_bytes();
+        let delta_bytes = v5_delta(&mut heap, CodecSet::all());
 
         for (base_bytes, base_codec) in [
             (&base_batched, ImageCodec::Batched),
@@ -1842,10 +1508,8 @@ mod tests {
 
     #[test]
     fn compressed_image_with_corrupted_slabs_rejected() {
-        let (heap, ..) = populated_heap();
-        let mut w = WireWriter::new();
-        heap.encode_image_compressed(&mut w, CodecSet::all());
-        let bytes = w.into_bytes();
+        let (mut heap, ..) = populated_heap();
+        let bytes = v5_image(&mut heap, CodecSet::all());
 
         // Truncations anywhere must be precise errors, never panics.
         for cut in [bytes.len() - 1, bytes.len() / 2, 5] {
@@ -1895,9 +1559,7 @@ mod tests {
         for i in 0..100 {
             heap.alloc_array(64, Word::Int(i)).unwrap();
         }
-        let mut w = WireWriter::new();
-        heap.encode_image_compressed(&mut w, CodecSet::all());
-        let bytes = w.into_bytes();
+        let bytes = v5_image(&mut heap, CodecSet::all());
         let stats = crate::heap::image_payload_stats(&bytes, false).unwrap();
         assert_eq!(stats.stored_bytes, bytes.len() as u64);
         assert!(
@@ -1908,9 +1570,7 @@ mod tests {
         );
 
         // Raw-only images report ~no savings.
-        let mut w = WireWriter::new();
-        heap.encode_image_compressed(&mut w, CodecSet::raw_only());
-        let bytes = w.into_bytes();
+        let bytes = v5_image(&mut heap, CodecSet::raw_only());
         let stats = crate::heap::image_payload_stats(&bytes, false).unwrap();
         assert_eq!(stats.raw_bytes, stats.stored_bytes);
 
@@ -1918,9 +1578,7 @@ mod tests {
         heap.mark_clean();
         let doomed = heap.alloc_array(2, Word::Int(1)).unwrap();
         heap.free_block(doomed);
-        let mut w = WireWriter::new();
-        heap.encode_delta_image_compressed(&mut w, CodecSet::all());
-        let bytes = w.into_bytes();
+        let bytes = v5_delta(&mut heap, CodecSet::all());
         assert!(crate::heap::image_payload_stats(&bytes, true).is_ok());
         assert!(crate::heap::image_payload_stats(&bytes, false).is_err());
     }
@@ -1954,9 +1612,8 @@ mod tests {
     #[test]
     fn delta_image_reconstructs_exact_heap() {
         let (mut heap, a, _s, t) = populated_heap();
-        let mut base = WireWriter::new();
-        heap.encode_image(&mut base);
-        let base_bytes = base.into_bytes();
+        let base_bytes = v4_image(&heap);
+        let base_state = heap.snapshot();
         heap.mark_clean();
 
         // Mutate: overwrite, allocate, free, re-point.
@@ -1965,26 +1622,27 @@ mod tests {
         heap.store(t, 2, Word::Ptr(fresh)).unwrap();
         heap.free_block(a);
 
-        let mut delta = WireWriter::new();
-        heap.encode_delta_image(&mut delta);
-        let delta_bytes = delta.into_bytes();
+        // The tracked v5 delta and a v4 delta of the same change both
+        // resolve against the v4 base.
+        let v5 = v5_delta(&mut heap, CodecSet::all());
+        let v4 = v4_delta(&base_state, &heap);
         // The delta is smaller than a full image of the same heap.
-        let mut full = WireWriter::new();
-        heap.encode_image(&mut full);
-        assert!(delta_bytes.len() < full.into_bytes().len() + 16);
+        assert!(v5.len() < v5_image(&mut heap, CodecSet::all()).len() + 16);
 
-        let back = Heap::decode_delta_image(
-            &mut WireReader::new(&base_bytes),
-            &mut WireReader::new(&delta_bytes),
-            ImageCodec::Batched,
-            ImageCodec::Batched,
-            HeapConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(back.snapshot(), heap.snapshot());
-        assert!(back.load(a, 0).is_err(), "freed block stays freed");
-        assert_eq!(back.load(fresh, 4).unwrap(), Word::Int(3));
-        assert_eq!(back.load(t, 2).unwrap(), Word::Ptr(fresh));
+        for (delta_bytes, delta_codec) in [(&v5, ImageCodec::Slab), (&v4, ImageCodec::Batched)] {
+            let back = Heap::decode_delta_image(
+                &mut WireReader::new(&base_bytes),
+                &mut WireReader::new(delta_bytes),
+                ImageCodec::Batched,
+                delta_codec,
+                HeapConfig::default(),
+            )
+            .unwrap();
+            assert_eq!(back.snapshot(), heap.snapshot());
+            assert!(back.load(a, 0).is_err(), "freed block stays freed");
+            assert_eq!(back.load(fresh, 4).unwrap(), Word::Int(3));
+            assert_eq!(back.load(t, 2).unwrap(), Word::Ptr(fresh));
+        }
     }
 
     #[test]
@@ -1995,23 +1653,19 @@ mod tests {
         heap.store(a, 0, Word::Int(2)).unwrap();
 
         // Clean point taken while the speculation is open.
-        let mut base = WireWriter::new();
-        heap.encode_image(&mut base);
-        let base_bytes = base.into_bytes();
+        let base_bytes = v5_image(&mut heap, CodecSet::all());
         heap.mark_clean();
 
         // The rollback reverts `a` — it must re-enter the dirty set or the
         // delta would silently miss the restored content.
         heap.spec_rollback(level).unwrap();
-        let mut delta = WireWriter::new();
-        heap.encode_delta_image(&mut delta);
-        let delta_bytes = delta.into_bytes();
+        let delta_bytes = v5_delta(&mut heap, CodecSet::all());
 
         let back = Heap::decode_delta_image(
             &mut WireReader::new(&base_bytes),
             &mut WireReader::new(&delta_bytes),
-            ImageCodec::Batched,
-            ImageCodec::Batched,
+            ImageCodec::Slab,
+            ImageCodec::Slab,
             HeapConfig::default(),
         )
         .unwrap();
@@ -2022,25 +1676,29 @@ mod tests {
     #[test]
     fn empty_delta_is_tiny_and_reconstructs_base() {
         let (mut heap, ..) = populated_heap();
-        let mut base = WireWriter::new();
-        heap.encode_image(&mut base);
-        let base_bytes = base.into_bytes();
+        let base_bytes = v4_image(&heap);
+        let base_state = heap.snapshot();
         heap.mark_clean();
 
-        let mut delta = WireWriter::new();
-        heap.encode_delta_image(&mut delta);
-        let delta_bytes = delta.into_bytes();
-        assert!(delta_bytes.len() <= 8, "no changes → a few header bytes");
+        // No changes: a v4 delta is a few header bytes; the tracked v5
+        // delta is its three counts plus four empty slab frames (raw
+        // length, codec id, empty payload: 3 bytes each).
+        let v4 = v4_delta(&base_state, &heap);
+        assert!(v4.len() <= 8, "no changes → a few header bytes");
+        let v5 = v5_delta(&mut heap, CodecSet::all());
+        assert_eq!(v5.len(), 3 + 4 * 3, "no changes → counts and empty frames");
 
-        let back = Heap::decode_delta_image(
-            &mut WireReader::new(&base_bytes),
-            &mut WireReader::new(&delta_bytes),
-            ImageCodec::Batched,
-            ImageCodec::Batched,
-            HeapConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(back.snapshot(), heap.snapshot());
+        for (delta_bytes, delta_codec) in [(&v4, ImageCodec::Batched), (&v5, ImageCodec::Slab)] {
+            let back = Heap::decode_delta_image(
+                &mut WireReader::new(&base_bytes),
+                &mut WireReader::new(delta_bytes),
+                ImageCodec::Batched,
+                delta_codec,
+                HeapConfig::default(),
+            )
+            .unwrap();
+            assert_eq!(back.snapshot(), heap.snapshot());
+        }
     }
 
     #[test]
@@ -2057,9 +1715,7 @@ mod tests {
 
         // Delta declaring the same against a legitimate base.
         let (heap, ..) = populated_heap();
-        let mut base = WireWriter::new();
-        heap.encode_image(&mut base);
-        let base_bytes = base.into_bytes();
+        let base_bytes = v4_image(&heap);
         let mut w = WireWriter::new();
         w.write_usize(1 << 40);
         w.write_usize(0);
@@ -2081,9 +1737,7 @@ mod tests {
     #[test]
     fn delta_with_duplicate_records_rejected() {
         let (heap, a, ..) = populated_heap();
-        let mut base = WireWriter::new();
-        heap.encode_image(&mut base);
-        let base_bytes = base.into_bytes();
+        let base_bytes = v4_image(&heap);
 
         // Two dirty records for the same index: order-dependent decode is
         // corruption, not a tolerated overwrite.
@@ -2092,7 +1746,10 @@ mod tests {
         w.write_usize(2);
         for value in [1i64, 2] {
             w.write_uvarint(a.0 as u64);
-            Block::words(a, BlockKind::Array, vec![Word::Int(value)]).encode_batched(&mut w);
+            write_v4_block(
+                &mut w,
+                &Block::words(a, BlockKind::Array, vec![Word::Int(value)]),
+            );
         }
         w.write_usize(0);
         let delta_bytes = w.into_bytes();

@@ -29,13 +29,14 @@
 //!
 //! The heap also tracks **per-block dirtiness** for incremental
 //! checkpoints: [`Heap::mark_clean`] declares the current state a base,
-//! and [`Heap::encode_delta_image`] later ships only the blocks mutated,
-//! allocated or freed since — see `docs/WIRE_FORMAT.md` for the image
-//! layouts.
+//! and a later delta image ships only the blocks mutated, allocated or
+//! freed since.  Images are written from a [`HeapSnapshot`]
+//! ([`Heap::freeze`]), always in the v5 slab layout; v1 and v4 images
+//! still decode — see `docs/WIRE_FORMAT.md` for the layouts.
 //!
 //! ```
 //! use mojave_heap::{Heap, HeapConfig, Word};
-//! use mojave_wire::{WireReader, WireWriter};
+//! use mojave_wire::{CodecSet, WireReader, WireWriter};
 //!
 //! let mut heap = Heap::new();
 //! let arr = heap.alloc_array(4, Word::Int(0)).unwrap();
@@ -48,9 +49,10 @@
 //!
 //! // The whole heap round-trips through the canonical wire image.
 //! let mut w = WireWriter::new();
-//! heap.encode_image(&mut w);
+//! heap.freeze().encode_image(&mut w, CodecSet::all());
 //! let bytes = w.into_bytes();
-//! let back = Heap::decode_image(&mut WireReader::new(&bytes), HeapConfig::default()).unwrap();
+//! let back =
+//!     Heap::decode_image_compressed(&mut WireReader::new(&bytes), HeapConfig::default()).unwrap();
 //! assert_eq!(back.load(arr, 0).unwrap(), Word::Int(0));
 //! ```
 
@@ -78,3 +80,11 @@ pub use pointer_table::{PointerTable, PtrIdx};
 pub use snapshot::HeapSnapshot;
 pub use stats::HeapStats;
 pub use word::Word;
+
+// The pre-v5 writers the unit tests use to cover the v1/v4 decoders; the
+// file is shared with the integration tests, which name this crate.
+#[cfg(test)]
+extern crate self as mojave_heap;
+#[cfg(test)]
+#[path = "../tests/support/image_writers.rs"]
+mod image_writers;

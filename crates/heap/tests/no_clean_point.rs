@@ -1,15 +1,12 @@
 //! Direct coverage of the `HeapError::NoCleanPoint` contract.
 //!
 //! Delta encoding is only meaningful relative to a clean point
-//! ([`Heap::mark_clean`]).  Without one the two encode surfaces react
-//! differently, and both reactions are deliberate:
-//!
-//! * [`HeapSnapshot::encode_delta_image`] (and its compressed twin)
-//!   returns `Err(HeapError::NoCleanPoint)` — the async pipeline worker
-//!   consuming the snapshot must fail that delivery precisely, not die;
-//! * [`Heap::encode_delta_image`] panics — on the synchronous path the
-//!   caller owns the heap and asking for a delta without a base is a
-//!   programming error, not a runtime condition.
+//! ([`Heap::mark_clean`]).  Without one,
+//! [`HeapSnapshot::encode_delta_image`](mojave_heap::HeapSnapshot::encode_delta_image)
+//! returns `Err(HeapError::NoCleanPoint)`: the pipeline worker consuming
+//! the snapshot must fail that delivery precisely, not die.  The process
+//! level (`Process::pack_delta`, `Process::pack_snapshot`) turns the same
+//! condition into a rejected migration; `mojave-core` tests that.
 
 use mojave_heap::{Heap, HeapConfig, HeapError, Word};
 use mojave_wire::{CodecSet, WireReader, WireWriter};
@@ -21,15 +18,13 @@ fn snapshot_without_clean_point_refuses_delta_encoding() {
     let snap = heap.freeze();
 
     let mut w = WireWriter::new();
-    assert_eq!(
-        snap.encode_delta_image(&mut w),
-        Err(HeapError::NoCleanPoint)
-    );
-    assert_eq!(
-        snap.encode_delta_image_compressed(&mut w, CodecSet::all()),
-        Err(HeapError::NoCleanPoint)
-    );
-    // Neither failed attempt may leave partial output behind.
+    for allowed in [CodecSet::all(), CodecSet::raw_only()] {
+        assert_eq!(
+            snap.encode_delta_image(&mut w, allowed),
+            Err(HeapError::NoCleanPoint)
+        );
+    }
+    // No failed attempt may leave partial output behind.
     assert!(w.into_bytes().is_empty());
 }
 
@@ -52,32 +47,11 @@ fn snapshot_after_mark_clean_encodes_deltas() {
     heap.store(arr, 2, Word::Int(41)).unwrap();
     let snap = heap.freeze();
 
-    let mut batched = WireWriter::new();
-    snap.encode_delta_image(&mut batched).unwrap();
-    assert!(!batched.into_bytes().is_empty());
-
-    let mut slab = WireWriter::new();
-    snap.encode_delta_image_compressed(&mut slab, CodecSet::all())
-        .unwrap();
-    assert!(!slab.into_bytes().is_empty());
-}
-
-#[test]
-#[should_panic(expected = "mark_clean")]
-fn live_heap_delta_encode_without_clean_point_panics() {
-    let mut heap = Heap::new();
-    heap.alloc_array(4, Word::Int(7)).unwrap();
-    let mut w = WireWriter::new();
-    heap.encode_delta_image(&mut w);
-}
-
-#[test]
-#[should_panic(expected = "mark_clean")]
-fn live_heap_compressed_delta_encode_without_clean_point_panics() {
-    let mut heap = Heap::new();
-    heap.alloc_array(4, Word::Int(7)).unwrap();
-    let mut w = WireWriter::new();
-    heap.encode_delta_image_compressed(&mut w, CodecSet::all());
+    for allowed in [CodecSet::all(), CodecSet::raw_only()] {
+        let mut w = WireWriter::new();
+        snap.encode_delta_image(&mut w, allowed).unwrap();
+        assert!(!w.into_bytes().is_empty());
+    }
 }
 
 #[test]
@@ -91,7 +65,7 @@ fn decoded_heaps_start_without_a_clean_point() {
     assert!(heap.dirty_tracking_armed());
 
     let mut w = WireWriter::new();
-    heap.encode_image_compressed(&mut w, CodecSet::all());
+    heap.freeze().encode_image(&mut w, CodecSet::all());
     let bytes = w.into_bytes();
 
     let mut decoded =

@@ -1,9 +1,12 @@
 //! Property tests for the heap: GC safety, speculation exactness, and image
 //! round-trips under randomly generated workloads.
 
-use mojave_heap::{Heap, HeapConfig, PtrIdx, Word};
-use mojave_wire::{WireReader, WireWriter};
+use mojave_heap::{Heap, HeapConfig, ImageCodec, PtrIdx, Word};
+use mojave_wire::{WireError, WireReader, WireWriter};
 use proptest::prelude::*;
+
+#[path = "support/image_writers.rs"]
+mod image_writers;
 
 /// A random mutator action over a fixed set of pre-allocated arrays.
 #[derive(Debug, Clone)]
@@ -153,7 +156,8 @@ proptest! {
     }
 
     /// A heap image round-trips: every reachable block decodes to the same
-    /// contents under the same pointer index.
+    /// contents under the same pointer index — in the v5 layout the
+    /// library writes and in the v1 and v4 layouts it still reads.
     #[test]
     fn image_roundtrip_is_identity(
         actions in proptest::collection::vec(action_strategy(5), 0..64)
@@ -166,13 +170,21 @@ proptest! {
         heap.gc_major(&roots);
         let snapshot = heap.snapshot();
 
-        let mut w = WireWriter::new();
-        heap.encode_image(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        let back = Heap::decode_image(&mut r, HeapConfig::default()).unwrap();
-        prop_assert!(r.is_empty());
-        prop_assert_eq!(back.snapshot(), snapshot);
+        let v1 = image_writers::v1_image(&heap);
+        let v4 = image_writers::v4_image(&heap);
+        let v5 = image_writers::v5_image(&mut heap, mojave_wire::CodecSet::all());
+        type Decode = fn(&mut WireReader<'_>, HeapConfig) -> Result<Heap, WireError>;
+        let decoders: [(&[u8], Decode); 3] = [
+            (&v1, Heap::decode_image_legacy),
+            (&v4, Heap::decode_image),
+            (&v5, Heap::decode_image_compressed),
+        ];
+        for (bytes, decode) in decoders {
+            let mut r = WireReader::new(bytes);
+            let back = decode(&mut r, HeapConfig::default()).unwrap();
+            prop_assert!(r.is_empty());
+            prop_assert_eq!(back.snapshot(), snapshot.clone());
+        }
     }
 
     /// The pointer table never reports more live entries than blocks exist,
@@ -205,10 +217,15 @@ proptest! {
     }
 
     /// A zero-pause COW snapshot's images — full **and** delta, across
-    /// every codec and the batched layout — are byte-identical to
-    /// stop-the-world images taken at the same logical point, no matter
-    /// how the mutator interleaves before the freeze or keeps mutating
-    /// (plain stores, allocations, frees, speculation) after it.
+    /// every codec — are the images a synchronous (stop-the-world)
+    /// checkpoint at the freeze ships, no matter how the mutator
+    /// interleaves before the freeze or keeps mutating (plain stores,
+    /// allocations, frees, speculation) after it.  Two properties stand in
+    /// for that: *isolation* (the bytes encoded after the mutator raced
+    /// ahead equal those encoded right at the freeze) and the *round trip*
+    /// (the full image, and the delta resolved against its base, decode to
+    /// the heap at the freeze).  The same change written as a v4 delta
+    /// resolves to the same heap, covering the v4 delta decoder.
     #[test]
     fn snapshot_images_byte_identical_to_stop_the_world(
         before in proptest::collection::vec(action_strategy(4), 0..48),
@@ -226,6 +243,14 @@ proptest! {
         ];
 
         let (mut heap, arrays) = build_heap(4);
+        // Unrooted blocks in the base: the collection below frees them,
+        // so the delta must ship their freed-index fixups.
+        for len in [3, 5] {
+            heap.alloc_array(len, Word::Int(-1)).unwrap();
+        }
+        let base = image_writers::v5_image(&mut heap, CodecSet::all());
+        let base_v4 = image_writers::v4_image(&heap);
+        let base_state = heap.snapshot();
         heap.mark_clean();
         for action in &before {
             apply(&mut heap, &arrays, action);
@@ -237,24 +262,18 @@ proptest! {
             heap.gc_major(&roots);
         }
 
-        // Stop-the-world reference images at the logical freeze point.
-        let encode = |f: &dyn Fn(&mut WireWriter)| {
-            let mut w = WireWriter::new();
-            f(&mut w);
-            w.into_bytes()
-        };
-        let want_batched = encode(&|w| heap.encode_image(w));
-        let want_batched_delta = encode(&|w| heap.encode_delta_image(w));
-        let want_full: Vec<Vec<u8>> = codec_sets
-            .iter()
-            .map(|set| encode(&|w| heap.encode_image_compressed(w, *set)))
-            .collect();
-        let want_delta: Vec<Vec<u8>> = codec_sets
-            .iter()
-            .map(|set| encode(&|w| heap.encode_delta_image_compressed(w, *set)))
-            .collect();
-
+        let at_freeze = heap.snapshot();
+        let delta_v4 = image_writers::v4_delta(&base_state, &heap);
         let snap = heap.freeze();
+        let encode = |set: CodecSet| {
+            let mut full = WireWriter::new();
+            snap.encode_image(&mut full, set);
+            let mut delta = WireWriter::new();
+            snap.encode_delta_image(&mut delta, set).unwrap();
+            (full.into_bytes(), delta.into_bytes())
+        };
+        // The stop-the-world images: encoded before the mutator resumes.
+        let want: Vec<(Vec<u8>, Vec<u8>)> = codec_sets.iter().map(|set| encode(*set)).collect();
 
         // The mutator races ahead: ordinary mutations, and optionally a
         // speculation level with its own copy-on-write clones.
@@ -266,18 +285,33 @@ proptest! {
             heap.spec_rollback(level).unwrap();
         }
 
-        prop_assert_eq!(&encode(&|w| snap.encode_image(w)), &want_batched);
-        let mut w = WireWriter::new();
-        snap.encode_delta_image(&mut w).unwrap();
-        prop_assert_eq!(&w.into_bytes(), &want_batched_delta);
         for (i, set) in codec_sets.iter().enumerate() {
-            prop_assert_eq!(
-                &encode(&|w| snap.encode_image_compressed(w, *set)),
-                &want_full[i]
-            );
-            let mut w = WireWriter::new();
-            snap.encode_delta_image_compressed(&mut w, *set).unwrap();
-            prop_assert_eq!(&w.into_bytes(), &want_delta[i]);
+            let (full, delta) = encode(*set);
+            prop_assert_eq!(&full, &want[i].0);
+            prop_assert_eq!(&delta, &want[i].1);
+
+            let back =
+                Heap::decode_image_compressed(&mut WireReader::new(&full), HeapConfig::default())
+                    .unwrap();
+            prop_assert_eq!(back.snapshot(), at_freeze.clone());
+            let back = Heap::decode_delta_image(
+                &mut WireReader::new(&base),
+                &mut WireReader::new(&delta),
+                ImageCodec::Slab,
+                ImageCodec::Slab,
+                HeapConfig::default(),
+            )
+            .unwrap();
+            prop_assert_eq!(back.snapshot(), at_freeze.clone());
         }
+        let back = Heap::decode_delta_image(
+            &mut WireReader::new(&base_v4),
+            &mut WireReader::new(&delta_v4),
+            ImageCodec::Batched,
+            ImageCodec::Batched,
+            HeapConfig::default(),
+        )
+        .unwrap();
+        prop_assert_eq!(back.snapshot(), at_freeze);
     }
 }

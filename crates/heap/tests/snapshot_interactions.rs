@@ -11,20 +11,35 @@
 //!   never invalidates it (the snapshot holds blocks, not slots);
 //! * a snapshot without a clean point refuses delta encoding with the
 //!   precise [`HeapError::NoCleanPoint`] error.
+//!
+//! Each test checks two properties of the snapshot's image: *isolation*
+//! (its bytes do not change when the heap is mutated after the freeze)
+//! and the *round trip* (it decodes to the heap as it was at the freeze).
 
-use mojave_heap::{Heap, HeapConfig, HeapError, Word};
+use mojave_heap::{Heap, HeapConfig, HeapError, HeapSnapshot, Word};
 use mojave_wire::{CodecSet, WireReader, WireWriter};
 
-fn image_of(heap: &Heap) -> Vec<u8> {
+fn snap_image(snap: &HeapSnapshot) -> Vec<u8> {
     let mut w = WireWriter::new();
-    heap.encode_image_compressed(&mut w, CodecSet::all());
+    snap.encode_image(&mut w, CodecSet::all());
     w.into_bytes()
 }
 
-fn snap_image(snap: &mojave_heap::HeapSnapshot) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    snap.encode_image_compressed(&mut w, CodecSet::all());
-    w.into_bytes()
+/// Freeze `heap` and encode the snapshot before the mutator runs again —
+/// the image a synchronous checkpoint at this point ships.  Asserts the
+/// round trip: the image decodes to the heap as it is now.
+fn freeze(heap: &mut Heap) -> (HeapSnapshot, Vec<u8>) {
+    let at_freeze = heap.snapshot();
+    let snap = heap.freeze();
+    let image = snap_image(&snap);
+    let decoded =
+        Heap::decode_image_compressed(&mut WireReader::new(&image), HeapConfig::default()).unwrap();
+    assert_eq!(
+        decoded.snapshot(),
+        at_freeze,
+        "image decodes to the frozen heap"
+    );
+    (snap, image)
 }
 
 #[test]
@@ -35,9 +50,7 @@ fn snapshot_inside_open_speculation_captures_speculative_state() {
     heap.store(arr, 0, Word::Int(42)).unwrap();
 
     // The freeze sees the speculative value (the current clone)…
-    let want = image_of(&heap);
-    let snap = heap.freeze();
-    assert_eq!(snap_image(&snap), want);
+    let (snap, want) = freeze(&mut heap);
 
     // …and the rollback that later reverts the heap leaves it untouched.
     heap.spec_rollback(level).unwrap();
@@ -56,8 +69,7 @@ fn snapshot_inside_open_speculation_captures_speculative_state() {
 fn rollback_and_commit_while_snapshot_is_live() {
     let mut heap = Heap::new();
     let arr = heap.alloc_array(8, Word::Int(1)).unwrap();
-    let want = image_of(&heap);
-    let snap = heap.freeze();
+    let (snap, want) = freeze(&mut heap);
 
     // A full speculative episode after the freeze: enter, mutate,
     // allocate, roll back; then another that commits.
@@ -86,8 +98,7 @@ fn gc_while_snapshot_is_live_is_safe_and_documented() {
     });
     let keep = heap.alloc_array(8, Word::Int(7)).unwrap();
     let garbage = heap.alloc_array(64, Word::Int(8)).unwrap();
-    let want = image_of(&heap);
-    let snap = heap.freeze();
+    let (snap, want) = freeze(&mut heap);
 
     // Major GC with only `keep` rooted: `garbage` is freed from the live
     // heap (its payload survives inside the snapshot), survivors are
@@ -122,8 +133,7 @@ fn pointer_index_reuse_after_the_freeze_does_not_leak_into_the_snapshot() {
     let mut heap = Heap::new();
     let keep = heap.alloc_array(4, Word::Int(1)).unwrap();
     let doomed = heap.alloc_array(4, Word::Int(2)).unwrap();
-    let want = image_of(&heap);
-    let snap = heap.freeze();
+    let (snap, want) = freeze(&mut heap);
 
     // Collect `doomed`, then allocate until its pointer index is reused
     // with different content.
@@ -173,8 +183,7 @@ fn snapshot_encodes_on_another_thread_while_the_mutator_races() {
     for i in 0..512 {
         ptrs.push(heap.alloc_array(32, Word::Int(i)).unwrap());
     }
-    let want = image_of(&heap);
-    let snap = heap.freeze();
+    let (snap, want) = freeze(&mut heap);
 
     // Encode off-thread while this thread rewrites every block — the
     // exact overlap the asynchronous checkpoint pipeline relies on.  A
@@ -201,11 +210,7 @@ fn delta_from_untracked_snapshot_is_a_precise_error() {
     assert!(!snap.delta_capable());
     let mut w = WireWriter::new();
     assert_eq!(
-        snap.encode_delta_image(&mut w).unwrap_err(),
-        HeapError::NoCleanPoint
-    );
-    assert_eq!(
-        snap.encode_delta_image_compressed(&mut w, CodecSet::all())
+        snap.encode_delta_image(&mut w, CodecSet::all())
             .unwrap_err(),
         HeapError::NoCleanPoint
     );

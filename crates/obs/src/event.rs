@@ -16,8 +16,9 @@ pub enum EventKind {
     /// migrate label, `b` = delivery outcome code (0 stored, 1 migrated,
     /// 2 superseded, 3 failed).
     CheckpointEnd = 2,
-    /// A zero-pause heap freeze (`Heap::freeze`).  `a` = live blocks
-    /// captured, `b` = payload bytes logically captured.
+    /// A zero-pause heap freeze (`Heap::freeze`) — every pack takes one,
+    /// synchronous or not.  `a` = live blocks captured, `b` = payload
+    /// bytes logically captured.
     Freeze = 3,
     /// An image encode completed (mutator thread or pipeline worker).
     /// `a` = raw heap-payload bytes, `b` = stored (post-codec) bytes.
@@ -54,8 +55,9 @@ pub enum EventKind {
     /// A transport connection was re-established after a drop.  `a` =
     /// reconnect attempt number.
     Reconnect = 15,
-    /// A slab codec was chosen for an image.  `a` = codec id (0xFF =
-    /// mixed/auto), `b` = stored heap-payload bytes.
+    /// A slab codec was chosen for an image.  `a` = the codec the
+    /// negotiated set forces (0xFF = the encoder picks per slab), `b` =
+    /// stored heap-payload bytes.
     CodecChosen = 16,
     /// A checkpoint-pipeline queue-depth sample.  `a` = depth after the
     /// submit, `b` = queue capacity.

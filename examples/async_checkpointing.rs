@@ -102,8 +102,9 @@ fn main() {
     let t = std::time::Instant::now();
     let mut w = mojave::wire::WireWriter::new();
     process
-        .heap()
-        .encode_image_compressed(&mut w, CodecSet::all());
+        .heap_mut()
+        .freeze()
+        .encode_image(&mut w, CodecSet::all());
     println!(
         "synchronous encode of the same heap: {:?} for {} bytes on the wire \
          (the pipeline moved ~all of it off the mutator: pause {} µs vs encode {} µs)",
